@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import EmptyInputError, ExecutionError
 from .intervals import Interval, IntervalColumn
 
 
@@ -58,7 +58,7 @@ def grouped_avg(values: np.ndarray, gids: np.ndarray, n_groups: int) -> np.ndarr
     sums = grouped_sum(values, gids, n_groups).astype(np.float64)
     counts = grouped_count(gids, n_groups)
     if bool((counts == 0).any()):
-        raise ExecutionError("avg over an empty group")
+        raise EmptyInputError("avg over an empty group")
     return sums / counts
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import EmptyInputError, ExecutionError
 from .aggregates import grouped_max, grouped_min, grouped_sum
 from .candidates import PairCandidates, RunPairCandidates
 from .grouping import combine_keys
@@ -114,10 +114,10 @@ def aggregate_pairs(
         sums = grouped_sum(values * weights, gids, n_groups).astype(np.float64)
         counts = grouped_sum(weights, gids, n_groups)
         if bool((counts == 0).any()):
-            raise ExecutionError("avg over an empty group")
+            raise EmptyInputError("avg over an empty group")
         return sums / counts
     if len(values) == 0:
-        raise ExecutionError(f"{func} of an empty result")
+        raise EmptyInputError(f"{func} of an empty result")
     if func == "min":
         return grouped_min(values, gids, n_groups)
     if func == "max":
@@ -185,10 +185,10 @@ def aggregate_pairs_right(
         sums = grouped_sum(partials["sum"], gids, n_groups).astype(np.float64)
         counts = grouped_sum(partials["count"], gids, n_groups)
         if bool((counts == 0).any()):
-            raise ExecutionError("avg over an empty group")
+            raise EmptyInputError("avg over an empty group")
         return sums / counts
     if len(partials["count"]) == 0:
-        raise ExecutionError(f"{func} of an empty result")
+        raise EmptyInputError(f"{func} of an empty result")
     if func == "min":
         return grouped_min(partials["min"], gids, n_groups)
     if func == "max":

@@ -20,7 +20,7 @@ from ..device.bus import PciBus
 from ..device.cpu import Cpu
 from ..device.timeline import Timeline
 from ..device.model import AccessPattern, OpClass
-from ..errors import ExecutionError
+from ..errors import EmptyInputError
 from ..storage.decompose import BwdColumn
 from .candidates import Approximation, PairCandidates, RunPairCandidates
 from .intervals import IntervalColumn
@@ -279,7 +279,7 @@ def avg_refine(
     cpu: Cpu, timeline: Timeline, values: np.ndarray, label: str
 ) -> float:
     if values.size == 0:
-        raise ExecutionError("avg of an empty result")
+        raise EmptyInputError("avg of an empty result")
     cpu.charge(
         timeline, f"agg.avg.refine({label})", values.nbytes,
         tuples=values.size, op_class=OpClass.AGG,
@@ -299,7 +299,7 @@ def minmax_refine(
     'a join of the candidate set with the input residuals and the
     calculation of the minimum'."""
     if values.size == 0:
-        raise ExecutionError("min/max of an empty result")
+        raise EmptyInputError("min/max of an empty result")
     cpu.charge(
         timeline, f"agg.minmax.refine({label})", values.nbytes,
         tuples=values.size, op_class=OpClass.AGG,

@@ -53,7 +53,7 @@ from ..core.relax import ValueRange
 from ..device.machine import Machine
 from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
-from ..errors import ExecutionError, PlanError
+from ..errors import EmptyInputError, ExecutionError, PlanError
 from ..core.candidates import PairCandidates, RunPairCandidates
 from ..plan.expr import ColRef, Predicate
 from ..plan.logical import Aggregate, Query, ThetaJoin
@@ -908,11 +908,11 @@ class ArExecutor:
             out = agg_kernels.grouped_avg(values, gids, n_groups)
         elif agg.func == "min":
             if n == 0:
-                raise ExecutionError("min of an empty result")
+                raise EmptyInputError("min of an empty result")
             out = agg_kernels.grouped_min(values, gids, n_groups)
         elif agg.func == "max":
             if n == 0:
-                raise ExecutionError("max of an empty result")
+                raise EmptyInputError("max of an empty result")
             out = agg_kernels.grouped_max(values, gids, n_groups)
         else:  # pragma: no cover
             raise ExecutionError(f"unknown aggregate {agg.func!r}")

@@ -34,7 +34,7 @@ from ..core.theta import Theta, ThetaOp, exact_run_bounds
 from ..device.cpu import Cpu
 from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
-from ..errors import ExecutionError
+from ..errors import EmptyInputError, ExecutionError
 from ..storage.catalog import Catalog
 from ..plan.logical import Query
 from .result import Result
@@ -359,11 +359,11 @@ class ClassicExecutor:
             return grouped_avg(values, gids, n_groups)
         if func == "min":
             if len(values) == 0:
-                raise ExecutionError("min of an empty result")
+                raise EmptyInputError("min of an empty result")
             return grouped_min(values, gids, n_groups)
         if func == "max":
             if len(values) == 0:
-                raise ExecutionError("max of an empty result")
+                raise EmptyInputError("max of an empty result")
             return grouped_max(values, gids, n_groups)
         raise ExecutionError(f"unknown aggregate {func!r}")
 

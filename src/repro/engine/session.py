@@ -16,7 +16,6 @@ through :meth:`execute`; pre-built
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping
 
 from ..device.machine import Machine
@@ -24,6 +23,7 @@ from ..device.timeline import Timeline
 from ..errors import PlanError
 from ..obs import trace as obs_trace
 from ..opt.plan_cache import PlanCache
+from ..opt.planner import with_fallback
 from ..plan.explain import explain as explain_plan
 from ..plan.logical import Query
 from ..plan.rewriter import rewrite_to_ar_plan
@@ -45,23 +45,14 @@ MODES = ("ar", "classic", "approximate")
 RUN_OPTIMIZERS = ("auto", "heuristic", "cost")
 
 
-class Session:
-    """One database session over a simulated heterogeneous machine."""
+class QueryFront:
+    """What both sessions share in front of their own ``_run_query``
+    (single-device :class:`Session` or the sharded session): the lazy
+    builder, tracer attachment, run-option checks and the query trace."""
 
-    def __init__(self, machine: Machine | None = None) -> None:
-        self.machine = machine if machine is not None else Machine.paper_testbed()
-        self.catalog = Catalog()
-        self._classic = ClassicExecutor(self.catalog, self.machine.cpu)
-        self._ar = ArExecutor(self.catalog, self.machine)
-        #: Epoch-keyed physical-plan cache for the solo ``run()`` path
-        #: (the serve scheduler keeps its own; see PR 9).
-        self._plan_cache = PlanCache()
-        #: Observability sink; ``None`` keeps tracing fully disabled.
-        self.tracer = None
+    #: Observability sink; ``None`` keeps tracing fully disabled.
+    tracer = None
 
-    # ------------------------------------------------------------------
-    # Observability (PR 10)
-    # ------------------------------------------------------------------
     def attach_tracer(self, tracer):
         """Attach a :class:`~repro.obs.trace.Tracer` to this session.
 
@@ -72,6 +63,52 @@ class Session:
         """
         self.tracer = tracer
         return tracer
+
+    def table(self, name: str) -> RelationBuilder:
+        """Start a lazy query block over ``name`` — the primary API.
+
+        Chain relational operators (``where``, ``join``, ``theta_join`` /
+        ``band_join``, ``group_by``, aggregates, ``select``) and finish
+        with ``.run(mode=...)`` / ``.build()`` / ``.explain()``; nothing
+        executes until then.
+        """
+        self.catalog.table(name)  # fail fast on unknown tables
+        return RelationBuilder(self, name)
+
+    def _traced_query(self, query: Query, **options) -> Result:
+        """Both sessions' ``query()`` body: check the run options, then run
+        ``_run_query`` inside a query-scoped trace when a tracer is
+        attached.  (Each session keeps its own documented ``query``.)"""
+        mode, optimizer = options["mode"], options["optimizer"]
+        if mode not in MODES:
+            raise PlanError(f"unknown mode {mode!r}; pick one of {MODES}")
+        if optimizer not in RUN_OPTIMIZERS:
+            raise PlanError(
+                f"unknown optimizer {optimizer!r}; "
+                f"pick one of {RUN_OPTIMIZERS}"
+            )
+        tracer = self.tracer
+        if tracer is None:
+            return self._run_query(query, **options)
+        with tracer.trace(f"query:{query.table}") as qt:
+            result = self._run_query(query, **options)
+            if qt is not None:
+                qt.result_timeline = result.timeline
+                qt.add_timeline(result.timeline)
+            return result
+
+
+class Session(QueryFront):
+    """One database session over a simulated heterogeneous machine."""
+
+    def __init__(self, machine: Machine | None = None) -> None:
+        self.machine = machine if machine is not None else Machine.paper_testbed()
+        self.catalog = Catalog()
+        self._classic = ClassicExecutor(self.catalog, self.machine.cpu)
+        self._ar = ArExecutor(self.catalog, self.machine)
+        #: Epoch-keyed physical-plan cache for the solo ``run()`` path
+        #: (the serve scheduler keeps its own).
+        self._plan_cache = PlanCache()
 
     # ------------------------------------------------------------------
     # DDL / loading
@@ -141,20 +178,6 @@ class Session:
             else self.catalog.tables_with_delta()
         )
         return sum(compact_table(self, t) for t in tables)
-
-    # ------------------------------------------------------------------
-    # Query building
-    # ------------------------------------------------------------------
-    def table(self, name: str) -> RelationBuilder:
-        """Start a lazy query block over ``name`` — the primary API.
-
-        Chain relational operators (``where``, ``join``, ``theta_join`` /
-        ``band_join``, ``group_by``, aggregates, ``select``) and finish
-        with ``.run(mode=...)`` / ``.build()`` / ``.explain()``; nothing
-        executes until then.
-        """
-        self.catalog.table(name)  # fail fast on unknown tables
-        return RelationBuilder(self, name)
 
     def serve(
         self,
@@ -227,30 +250,11 @@ class Session:
         options, catalog epoch); compaction invalidates by bumping the
         epoch.
         """
-        if mode not in MODES:
-            raise PlanError(f"unknown mode {mode!r}; pick one of {MODES}")
-        if optimizer not in RUN_OPTIMIZERS:
-            raise PlanError(
-                f"unknown optimizer {optimizer!r}; "
-                f"pick one of {RUN_OPTIMIZERS}"
-            )
-        tracer = self.tracer
-        if tracer is None:
-            return self._run_query(
-                query, mode=mode, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-                timeline=timeline,
-            )
-        with tracer.trace(f"query:{query.table}") as qt:
-            result = self._run_query(
-                query, mode=mode, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-                timeline=timeline,
-            )
-            if qt is not None:
-                qt.result_timeline = result.timeline
-                qt.add_timeline(result.timeline)
-            return result
+        return self._traced_query(
+            query, mode=mode, pushdown=pushdown,
+            predicate_order=predicate_order, optimizer=optimizer,
+            timeline=timeline,
+        )
 
     def _run_query(
         self,
@@ -325,72 +329,12 @@ class Session:
         key = (query, pushdown, predicate_order, optimizer,
                self.catalog.epoch)
 
-        def build():
-            if optimizer in ("auto", "cost"):
-                try:
-                    return rewrite_to_ar_plan(
-                        query, self.catalog, pushdown=pushdown,
-                        predicate_order=predicate_order, optimizer="cost",
-                    )
-                except PlanError:
-                    if optimizer == "cost":
-                        raise
-            return rewrite_to_ar_plan(
+        return self._plan_cache.get(key, lambda: with_fallback(
+            optimizer, lambda opt: rewrite_to_ar_plan(
                 query, self.catalog, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer="heuristic",
-            )
-
-        return self._plan_cache.get(key, build)
-
-    def theta_join(
-        self,
-        left: str,
-        right: str,
-        op: str,
-        delta: int = 0,
-        *,
-        strategy: str = "auto",
-        emit: str = "auto",
-        timeline: Timeline | None = None,
-    ) -> Result:
-        """Deprecated: A&R theta join between two decomposed columns (§IV-D).
-
-        Thin shim over the builder path — byte-identical Result and modeled
-        Timeline::
-
-            session.table(lt).theta_join(rt, on=(lc, rc), op=op, delta=d) \
-                .run(mode="ar")
-
-        ``left``/``right`` are qualified ``"table.column"`` names; ``op`` is
-        one of ``< <= > >= =`` or ``"within"`` (the band join, with
-        ``delta``).  Returns a result with ``left_pos``/``right_pos``
-        columns in canonical (left, right)-sorted order.  ``strategy`` and
-        ``emit`` tune the simulation only; results and modeled Timeline
-        charges are identical for every combination.
-        """
-        warnings.warn(
-            "Session.theta_join is deprecated; use "
-            "session.table(...).theta_join(...).run() — the builder path "
-            "composes with selections, grouping and aggregates",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        left_table, left_column = self._split_qualified(left)
-        right_table, right_column = self._split_qualified(right)
-        builder = self.table(left_table).theta_join(
-            right_table, on=(left_column, right_column), op=op, delta=delta,
-            strategy=strategy, emit=emit,
-        )
-        return builder.run(mode="ar", timeline=timeline)
-
-    @staticmethod
-    def _split_qualified(name: str) -> tuple[str, str]:
-        table, _, column = name.partition(".")
-        if not column:
-            raise PlanError(
-                f"theta join operand {name!r} must be qualified as table.column"
-            )
-        return table, column
+                predicate_order=predicate_order, optimizer=opt,
+            ),
+        ))
 
     def execute(
         self,

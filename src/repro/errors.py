@@ -102,6 +102,15 @@ class ExecutionError(ReproError):
     """An operator failed at run time (type mismatch, misaligned inputs)."""
 
 
+class EmptyInputError(ExecutionError):
+    """An aggregate had no input rows to reduce (``min``/``max``/``avg``).
+
+    A partial result that raises this contributes nothing to a combine
+    (:mod:`repro.engine.combine`); the combine re-raises it only when every
+    partial was empty, exactly as one run over all the rows would.
+    """
+
+
 class AdmissionError(ExecutionError):
     """A served query can never be admitted (or was not admitted in time).
 

@@ -18,12 +18,13 @@ Two contributions cover every union shape:
   dimension — a dimension with pending delta is rejected, see
   :func:`delta_tables`).
 
-Base(b×b) + A(d×all) + B(b×d) partitions the union's row/pair set, so
-merging finals reproduces a bulk run over base+delta bit-for-bit: grouped
-merges ride the same ``np.unique``-ordered group ids the single-machine
-engine uses (the PR-6 shard-merge idiom), pair sets concatenate under
-position offsets and re-sort canonically, and ``avg`` merges from lowered
-sum/count partials.
+Base(b×b) + A(d×all) + B(b×d) partitions the union's row/pair set, so the
+base and the contributions are partials over disjoint rows and the shared
+combiner of :mod:`repro.engine.combine` — the one the shard merge uses —
+reproduces a bulk run over base+delta bit-for-bit; pair sets first shift
+into union positions by each contribution's offsets.  How the base runs is
+a parameter (:func:`union_with_delta`): the single-device session and the
+sharded coordinator plug in their own.
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.aggregates import grouped_max, grouped_min, grouped_sum
 from ..core.intervals import Interval
-from ..core.pair_agg import group_pair_rows
 from ..device.model import OpClass
 from ..device.timeline import Timeline
+from ..engine.combine import (
+    combine_aggregates, combine_pairs, combine_rows, combine_scalars,
+    lower_aggregates, lowered_query,
+)
 from ..engine.result import ApproximateAnswer, Result
-from ..errors import ExecutionError
+from ..errors import EmptyInputError, ExecutionError
 from ..obs import trace as obs_trace
 from ..plan.expr import ColRef
 from ..plan.logical import Aggregate, Query
@@ -60,21 +63,6 @@ _ROWS_ALIAS = "__delta_rows__"
 #: distinct from the fact name so self theta joins stay expressible when
 #: fact and right union different row sets.
 _RIGHT_ALIAS = "__ingest_right__"
-
-#: Engine messages meaning "this input slice was empty".  A part (base or
-#: contribution) raising one simply contributes nothing; if every part is
-#: empty the merge re-raises, matching a bulk run over the same rows.
-_EMPTY_INPUT_ERRORS = (
-    "min of an empty result",
-    "max of an empty result",
-    "avg over an empty group",
-)
-
-
-def _is_empty_error(exc: ExecutionError) -> bool:
-    text = str(exc)
-    return any(msg in text for msg in _EMPTY_INPUT_ERRORS)
-
 
 # ----------------------------------------------------------------------
 # Dispatch predicates
@@ -190,14 +178,6 @@ class ContributionCache:
         return parts
 
 
-def _parts_for(
-    catalog, cpu, query, deltas, timeline, cache: ContributionCache | None
-) -> list["_Part"]:
-    if cache is None:
-        return _contribution_parts(catalog, cpu, query, deltas, timeline)
-    return cache.parts(catalog, cpu, query, deltas, timeline)
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -223,46 +203,66 @@ def run_with_delta(
     from ..plan.rewriter import rewrite_to_ar_plan
 
     timeline = timeline if timeline is not None else Timeline()
-    catalog = session.catalog
-    cpu = session.machine.cpu
-    deltas = delta_tables(query, catalog)
+    deltas = delta_tables(query, session.catalog)
     if not deltas:
         return session.query(
             query, mode=mode, pushdown=pushdown,
             predicate_order=predicate_order, optimizer=optimizer,
             timeline=timeline,
         )
-    lowered = mode != "approximate" and any(
-        a.func == "avg" for a in query.aggregates
-    )
-    base_query = _lowered_query(query) if lowered else query
-    base: Result | None = None
-    base_error: str | None = None
-    try:
+
+    def run_base(base_query: Query) -> Result:
         if mode == "classic":
-            base = session._classic.run(base_query, timeline)
+            return session._classic.run(base_query, timeline)
+        if plan_factory is not None:
+            plan = plan_factory(base_query)
         else:
-            if plan_factory is not None:
-                plan = plan_factory(base_query)
-            else:
-                plan = rewrite_to_ar_plan(
-                    base_query, catalog, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer=optimizer,
-                )
-            base = session._ar.run(
-                plan, timeline, approximate_only=(mode == "approximate")
+            plan = rewrite_to_ar_plan(
+                base_query, session.catalog, pushdown=pushdown,
+                predicate_order=predicate_order, optimizer=optimizer,
             )
-    except ExecutionError as exc:
-        if not _is_empty_error(exc):
-            raise
-        base_error = str(exc)
-    contribs = _parts_for(
-        catalog, cpu, query, deltas, timeline, contribution_cache
+        return session._ar.run(
+            plan, timeline, approximate_only=(mode == "approximate")
+        )
+
+    return union_with_delta(
+        query, deltas, run_base, catalog=session.catalog,
+        cpu=session.machine.cpu, mode=mode, timeline=timeline,
+        contribution_cache=contribution_cache,
     )
-    return _merge(
-        query, mode, base, base_error, contribs, timeline, catalog, cpu,
-        lowered=lowered,
+
+
+def union_with_delta(
+    query: Query,
+    deltas: dict,
+    run_base: Callable[[Query], Result],
+    *,
+    catalog: Catalog,
+    cpu,
+    mode: str,
+    timeline: Timeline,
+    contribution_cache: ContributionCache | None = None,
+) -> Result:
+    """The union itself, whatever runs the base.
+
+    ``run_base`` answers the base query — ``avg`` lowered into sum/count
+    partials in the exact modes — billing onto ``timeline``; the
+    single-device session and the sharded coordinator each pass their own.
+    A base over no qualifying rows (:class:`~repro.errors.EmptyInputError`)
+    is no error while delta rows may fill it.  Contributions bill onto
+    ``timeline`` on the delta ledger and ``cpu`` combines.
+    """
+    base_query = query if mode == "approximate" else lowered_query(query)
+    try:
+        base = _Part(run_base(base_query), None, 0, 0)
+    except EmptyInputError as exc:
+        base = _Part(None, str(exc), 0, 0)
+    run_parts = (
+        _contribution_parts if contribution_cache is None
+        else contribution_cache.parts
     )
+    contribs = run_parts(catalog, cpu, query, deltas, timeline)
+    return _merge(query, mode, base, contribs, timeline, cpu)
 
 
 def apply_delta(
@@ -291,13 +291,10 @@ def apply_delta(
         raise ExecutionError(
             "avg with pending delta rows needs a solo delta-union run"
         )
-    timeline = base_result.timeline
-    contribs = _parts_for(
-        catalog, cpu, query, deltas, timeline, contribution_cache
-    )
-    return _merge(
-        query, mode, base_result, None, contribs, timeline, catalog, cpu,
-        lowered=False,
+    return union_with_delta(
+        query, deltas, lambda _query: base_result, catalog=catalog, cpu=cpu,
+        mode=mode, timeline=base_result.timeline,
+        contribution_cache=contribution_cache,
     )
 
 
@@ -306,7 +303,8 @@ def apply_delta(
 # ----------------------------------------------------------------------
 @dataclass
 class _Part:
-    """One contribution result plus its position offsets into the union."""
+    """One partial — the base run or a contribution — plus its position
+    offsets into the union (None result: its engine found no rows)."""
 
     result: Result | None
     error: str | None
@@ -403,19 +401,11 @@ def _evaluate_part(
     scratch_tl = Timeline()
     try:
         result = ClassicExecutor(scratch, cpu).run(cquery, scratch_tl)
-    except ExecutionError as exc:
-        if not _is_empty_error(exc):
-            raise
-        _rebill(timeline, scratch_tl)
-        return (
-            _Part(None, str(exc), left_off, right_off),
-            scratch_tl.total_seconds(),
-        )
+        part = _Part(result, None, left_off, right_off)
+    except EmptyInputError as exc:
+        part = _Part(None, str(exc), left_off, right_off)
     _rebill(timeline, scratch_tl)
-    return (
-        _Part(result, None, left_off, right_off),
-        scratch_tl.total_seconds(),
-    )
+    return part, scratch_tl.total_seconds()
 
 
 def _rebill(timeline: Timeline, scratch: Timeline) -> None:
@@ -430,12 +420,11 @@ def _rebill(timeline: Timeline, scratch: Timeline) -> None:
 def _contribution_query(query: Query) -> Query:
     """The query a contribution runs: lowered avg + hidden row counter,
     theta right side re-pointed at the scratch alias."""
-    from ..shard.planner import _lower_aggregates
-
     aggregates = query.aggregates
     if aggregates:
-        lowered, _ = _lower_aggregates(aggregates)
-        aggregates = lowered + (Aggregate("count", None, _ROWS_ALIAS),)
+        aggregates = lower_aggregates(aggregates) + (
+            Aggregate("count", None, _ROWS_ALIAS),
+        )
     if not query.theta_joins:
         return replace(query, aggregates=aggregates)
     tj = query.theta_joins[0]
@@ -454,13 +443,6 @@ def _contribution_query(query: Query) -> Query:
     )
 
 
-def _lowered_query(query: Query) -> Query:
-    from ..shard.planner import _lower_aggregates
-
-    lowered, _ = _lower_aggregates(query.aggregates)
-    return replace(query, aggregates=lowered)
-
-
 def _renamed(rel: Relation, name: str) -> Relation:
     """The same rows under another name (arrays are shared, not copied)."""
     return Relation.create(
@@ -474,212 +456,47 @@ def _renamed(rel: Relation, name: str) -> Relation:
 def _merge(
     query: Query,
     mode: str,
-    base: Result | None,
-    base_error: str | None,
+    base: _Part,
     contribs: list[_Part],
     timeline: Timeline,
-    catalog: Catalog,
     cpu,
-    *,
-    lowered: bool,
 ) -> Result:
+    """Combine the base with the contributions (billed on the delta ledger)."""
     matched = _matched_rows(query, contribs)
     _bill_merge(cpu, timeline, query, contribs)
     answer = _merged_answer(
-        query, mode, base.approximate if base is not None else None,
+        query, mode,
+        base.result.approximate if base.result is not None else None,
         contribs, matched,
     )
-    scales = dict(base.decimal_scales) if base is not None else {}
+    present = [p for p in [base, *contribs] if p.result is not None]
+    parts = [p.result for p in present]
     if mode == "approximate":
-        return Result(
-            columns={}, row_count=0, timeline=timeline,
-            approximate=answer, decimal_scales=scales,
+        columns, row_count = {}, 0
+    elif query.theta_joins and not query.is_aggregation():
+        columns = combine_pairs(
+            (np.asarray(p.result.columns["left_pos"], dtype=np.int64)
+             + p.left_off,
+             np.asarray(p.result.columns["right_pos"], dtype=np.int64)
+             + p.right_off)
+            for p in present
         )
-    if query.theta_joins and not query.is_aggregation():
-        return _merge_pairs(base, contribs, timeline, answer, scales)
-    if not query.is_aggregation():
-        return _merge_select(query, base, contribs, timeline, answer, scales)
-    if query.group_by:
-        return _merge_grouped(
-            query, base, contribs, timeline, answer, scales, lowered=lowered
-        )
-    return _merge_ungrouped(
-        query, base, base_error, contribs, timeline, answer, scales,
-        lowered=lowered,
-    )
-
-
-def _present(base: Result | None, contribs: list[_Part]) -> list[Result]:
-    parts = [base] if base is not None else []
-    parts += [p.result for p in contribs if p.result is not None]
-    return parts
-
-
-def _merge_ungrouped(
-    query, base, base_error, contribs, timeline, answer, scales, *, lowered
-) -> Result:
-    from ..shard.planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX
-
-    parts = _present(base, contribs)
-    errors = [e for e in [base_error] + [p.error for p in contribs] if e]
-    columns: dict[str, np.ndarray] = {}
-    for agg in query.aggregates:
-        if agg.func in ("count", "sum"):
-            vals = _scalars(agg.alias, parts)
-            # int64 accumulation: wraps exactly like the one-machine sum.
-            columns[agg.alias] = np.array(
-                [np.array(vals, dtype=np.int64).sum()], dtype=np.int64
-            )
-        elif agg.func in ("min", "max"):
-            vals = _scalars(agg.alias, parts)
-            if not vals:
-                raise ExecutionError(_empty_message(agg, errors))
-            combine = min if agg.func == "min" else max
-            columns[agg.alias] = np.array([combine(vals)], dtype=np.int64)
-        elif agg.func == "avg":
-            sums = _scalars(agg.alias + AVG_SUM_SUFFIX, parts)
-            counts = _scalars(agg.alias + AVG_CNT_SUFFIX, parts)
-            total = int(np.array(counts, dtype=np.int64).sum())
-            if total == 0:
-                raise ExecutionError("avg over an empty group")
-            columns[agg.alias] = (
-                np.array(
-                    [np.array(sums, dtype=np.int64).sum()], dtype=np.int64
-                ).astype(np.float64)
-                / np.array([total], dtype=np.int64)
-            )
-        else:
-            raise ExecutionError(f"unknown aggregate {agg.func!r}")
-    return Result(
-        columns=columns, row_count=1, timeline=timeline,
-        approximate=answer, decimal_scales=scales,
-    )
-
-
-def _scalars(alias: str, parts: list[Result]) -> list[int]:
-    return [
-        int(r.columns[alias][0]) for r in parts if alias in r.columns
-    ]
-
-
-def _empty_message(agg, errors: list[str]) -> str:
-    """Re-raise what a bulk run over the union would have said."""
-    for error in errors:
-        if agg.func in error:
-            return error
-    return f"{agg.func} of an empty result"
-
-
-def _merge_grouped(
-    query, base, contribs, timeline, answer, scales, *, lowered
-) -> Result:
-    from ..shard.planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX
-
-    parts = _present(base, contribs)
-    keys = {
-        name: np.concatenate(
-            [r.columns[name] for r in parts]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        for name in query.group_by
-    }
-    n_rows = len(next(iter(keys.values())))
-    if n_rows == 0:
-        gids, n_groups = np.empty(0, dtype=np.int64), 0
+        row_count = len(columns["left_pos"])
+    elif not query.is_aggregation():
+        # Base rows sit before delta rows in the union, so concatenating
+        # in part order reproduces the bulk run's position order.
+        columns, row_count = combine_rows(query.select, parts)
     else:
-        # np.unique-ordered group ids — a pure function of the key values,
-        # identical to what one bulk run over base+delta produces.
-        gids, n_groups = group_pair_rows(
-            [keys[name] for name in query.group_by]
+        columns, row_count = combine_aggregates(
+            query, parts, [p.error for p in [base, *contribs] if p.error]
         )
-    columns: dict[str, np.ndarray] = {}
-    for name in query.group_by:
-        out = np.zeros(n_groups, dtype=np.int64)
-        out[gids] = keys[name]
-        columns[name] = out
-
-    def concat(alias: str) -> np.ndarray:
-        arrs = [r.columns[alias] for r in parts if alias in r.columns]
-        return (
-            np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-        )
-
-    for agg in query.aggregates:
-        if n_groups == 0:
-            columns[agg.alias] = np.array([], dtype=np.int64)
-        elif agg.func in ("count", "sum"):
-            columns[agg.alias] = grouped_sum(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        elif agg.func == "min":
-            columns[agg.alias] = grouped_min(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        elif agg.func == "max":
-            columns[agg.alias] = grouped_max(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        elif agg.func == "avg":
-            sums = grouped_sum(
-                concat(agg.alias + AVG_SUM_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            ).astype(np.float64)
-            counts = grouped_sum(
-                concat(agg.alias + AVG_CNT_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            )
-            if bool((counts == 0).any()):
-                raise ExecutionError("avg over an empty group")
-            columns[agg.alias] = sums / counts
-        else:
-            raise ExecutionError(f"unknown aggregate {agg.func!r}")
     return Result(
-        columns=columns, row_count=n_groups, timeline=timeline,
-        approximate=answer, decimal_scales=scales,
-    )
-
-
-def _merge_pairs(base, contribs, timeline, answer, scales) -> Result:
-    lefts, rights = [], []
-    if base is not None:
-        lefts.append(np.asarray(base.columns["left_pos"], dtype=np.int64))
-        rights.append(np.asarray(base.columns["right_pos"], dtype=np.int64))
-    for p in contribs:
-        if p.result is None:
-            continue
-        lefts.append(
-            np.asarray(p.result.columns["left_pos"], dtype=np.int64)
-            + p.left_off
-        )
-        rights.append(
-            np.asarray(p.result.columns["right_pos"], dtype=np.int64)
-            + p.right_off
-        )
-    left = np.concatenate(lefts) if lefts else np.empty(0, dtype=np.int64)
-    right = np.concatenate(rights) if rights else np.empty(0, dtype=np.int64)
-    order = np.lexsort((right, left))  # canonical (left, right) order
-    return Result(
-        columns={"left_pos": left[order], "right_pos": right[order]},
-        row_count=len(left), timeline=timeline,
-        approximate=answer, decimal_scales=scales,
-    )
-
-
-def _merge_select(query, base, contribs, timeline, answer, scales) -> Result:
-    # Base rows sit before delta rows in the union, so concatenating in
-    # part order reproduces the bulk run's position order.
-    parts = _present(base, contribs)
-    columns = {
-        name: np.concatenate(
-            [r.columns[name] for r in parts]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        for name in query.select
-    }
-    return Result(
-        columns=columns,
-        row_count=sum(r.row_count for r in parts),
-        timeline=timeline, approximate=answer, decimal_scales=scales,
+        columns=columns, row_count=row_count, timeline=timeline,
+        approximate=answer,
+        decimal_scales=(
+            dict(base.result.decimal_scales) if base.result is not None
+            else {}
+        ),
     )
 
 
@@ -722,7 +539,9 @@ def _merged_answer(
             candidate_rows=base_answer.candidate_rows + matched,
             n_groups=None,
         )
-    scalars = _delta_scalars(query, contribs)
+    scalars = combine_scalars(
+        query, [p.result for p in contribs if p.result is not None]
+    )
     for agg in query.aggregates:
         raw = base_answer.aggregates.get(agg.alias)
         if not isinstance(raw, Interval):
@@ -734,35 +553,6 @@ def _merged_answer(
         candidate_rows=base_answer.candidate_rows + matched,
         n_groups=base_answer.n_groups,
     )
-
-
-def _delta_scalars(query: Query, contribs: list[_Part]) -> dict:
-    """Exact ungrouped delta totals per alias (merged across contributions)."""
-    from ..shard.planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX
-
-    parts = [p.result for p in contribs if p.result is not None]
-    out: dict = {}
-    for agg in query.aggregates:
-        if agg.func in ("count", "sum"):
-            out[agg.alias] = int(
-                np.array(_scalars(agg.alias, parts), dtype=np.int64).sum()
-            )
-        elif agg.func in ("min", "max"):
-            vals = _scalars(agg.alias, parts)
-            if vals:
-                out[agg.alias] = (min if agg.func == "min" else max)(vals)
-        elif agg.func == "avg":
-            counts = _scalars(agg.alias + AVG_CNT_SUFFIX, parts)
-            total = int(np.array(counts, dtype=np.int64).sum())
-            if total:
-                dsum = int(
-                    np.array(
-                        _scalars(agg.alias + AVG_SUM_SUFFIX, parts),
-                        dtype=np.int64,
-                    ).sum()
-                )
-                out[agg.alias] = dsum / total
-    return out
 
 
 def _shifted(agg, raw: Interval, scalars: dict) -> Interval | None:
@@ -783,7 +573,9 @@ def _shifted(agg, raw: Interval, scalars: dict) -> Interval | None:
     if agg.func == "max":
         return Interval(max(raw.lo, d), max(raw.hi, d))
     if agg.func == "avg":
-        return Interval(min(raw.lo, d), max(raw.hi, d))
+        total, count = d
+        mean = total / count
+        return Interval(min(raw.lo, mean), max(raw.hi, mean))
     return None
 
 
@@ -798,19 +590,18 @@ def _bill_merge(cpu, timeline: Timeline, query: Query, contribs) -> None:
         len(query.group_by) + len(query.aggregates) + len(query.select)
         + 2 * len(query.theta_joins),
     )
-    qt = obs_trace.ACTIVE
-    if qt is None:
+    def charge() -> None:
         cpu.charge(
             timeline, "ingest.delta.merge",
             max(1, items) * width * _OID_BYTES,
             tuples=max(1, items), op_class=OpClass.AGG, phase=DELTA_PHASE,
         )
+
+    qt = obs_trace.ACTIVE
+    if qt is None:
+        charge()
         return
     with qt.span("ingest.delta.merge", track="ingest", rows=items) as rec:
         before = timeline.total_seconds()
-        cpu.charge(
-            timeline, "ingest.delta.merge",
-            max(1, items) * width * _OID_BYTES,
-            tuples=max(1, items), op_class=OpClass.AGG, phase=DELTA_PHASE,
-        )
+        charge()
         rec.modeled = timeline.total_seconds() - before

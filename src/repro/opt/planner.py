@@ -14,7 +14,7 @@ optimizer only ever changes host wall-clock, never answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from ..core.theta import Theta, ThetaOp
 from ..errors import PlanError
@@ -33,6 +33,20 @@ from .estimates import (
 )
 
 OPTIMIZERS = ("heuristic", "cost")
+
+T = TypeVar("T")
+
+
+def with_fallback(optimizer: str, build: Callable[[str], T]) -> T:
+    """``build(optimizer)`` with ``"auto"`` resolved: the cost-based plan,
+    or the heuristic one when the cost model declines (:class:`PlanError`).
+    ``"cost"`` and ``"heuristic"`` build exactly what they name."""
+    if optimizer == "auto":
+        try:
+            return build("cost")
+        except PlanError:
+            optimizer = "heuristic"
+    return build(optimizer)
 
 
 def check_optimizer(optimizer: str) -> str:

@@ -445,25 +445,19 @@ class Scheduler:
         heuristic plan instead of failing the query — the flip-safety
         half of making cost the serve default.
         """
+        from ..opt.planner import with_fallback
+
         catalog = self.session.catalog
         optimizer = self.policy.optimizer
         key = (query, pushdown, predicate_order, optimizer, catalog.epoch)
-
-        def build():
-            if optimizer == "cost":
-                try:
-                    return rewrite_to_ar_plan(
-                        query, catalog, pushdown=pushdown,
-                        predicate_order=predicate_order, optimizer="cost",
-                    )
-                except PlanError:
-                    pass
-            return rewrite_to_ar_plan(
+        # Serving's "cost" is flip-safe: it falls back like "auto".
+        plan = self._plan_cache.get(key, lambda: with_fallback(
+            "auto" if optimizer == "cost" else optimizer,
+            lambda opt: rewrite_to_ar_plan(
                 query, catalog, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer="heuristic",
-            )
-
-        plan = self._plan_cache.get(key, build)
+                predicate_order=predicate_order, optimizer=opt,
+            ),
+        ))
         self.stats.plan_cache_hits = self._plan_cache.hits
         self.stats.plan_cache_misses = self._plan_cache.misses
         return plan
@@ -526,6 +520,12 @@ class Scheduler:
                 self.stats.cancelled += 1
                 return True
         return False
+
+    def _batch_budget(self) -> int | None:
+        """Device bytes one batch's expected scratch may claim (None = ∞)."""
+        return self.session.machine.gpu.pool.headroom(
+            self.policy.device_headroom_fraction
+        )
 
     def _admission_capacity(self) -> int | None:
         """Most device scratch any query could ever be granted (None = ∞)."""
@@ -601,9 +601,7 @@ class Scheduler:
         self._expire_stale()
         if not self._queue:
             return
-        budget = self.session.machine.gpu.pool.headroom(
-            self.policy.device_headroom_fraction
-        )
+        budget = self._batch_budget()
         if qt is None:
             batch, split = self._queue.pop_batch(self.policy, budget)
         else:
@@ -840,27 +838,30 @@ class Scheduler:
         self._observe_feedback(plan, result)
         return result
 
-    def _fold_delta(self, pending: _Pending, result):
-        """Fold pending delta rows into a base result computed without
-        them (the fused-batch path; solo-only shapes were peeled before
-        the batch ran)."""
+    def _execute_plan(self, pending: _Pending, plan, scan_hits=None,
+                      theta_runs=None):
+        """Run one member's plan with its carved inputs, then fold pending
+        delta rows into the base result computed without them (solo-only
+        shapes were peeled before the batch ran)."""
+        result = self.session._ar.run(
+            plan,
+            approximate_only=(pending.mode == "approximate"),
+            scan_hits=scan_hits,
+            theta_runs=theta_runs,
+        )
         catalog = self.session.catalog
         if not catalog.tables_with_delta():
             return result
-        from ..ingest.union import apply_delta, delta_tables
+        from ..ingest.union import apply_delta
 
-        deltas = delta_tables(pending.query, catalog)
-        if not deltas:
-            return result
         return apply_delta(
             catalog, self.session.machine.cpu, pending.query, result,
-            mode=pending.mode, deltas=deltas,
-            contribution_cache=self._delta_cache,
+            mode=pending.mode, contribution_cache=self._delta_cache,
         )
 
     def _run_with_plan(self, pending: _Pending, plan, scan_hits=None,
                        theta_runs=None):
-        """Execute an already-rewritten A&R plan for one pending query.
+        """Execute an already-rewritten plan for one pending query.
 
         Returns the :class:`Result` on success, None on a captured
         failure — so the fused path can read batch stats off it.
@@ -875,13 +876,7 @@ class Scheduler:
             if qt is not None else None
         )
         try:
-            result = self.session._ar.run(
-                plan,
-                approximate_only=(pending.mode == "approximate"),
-                scan_hits=scan_hits,
-                theta_runs=theta_runs,
-            )
-            result = self._fold_delta(pending, result)
+            result = self._execute_plan(pending, plan, scan_hits, theta_runs)
         except ReproError as exc:
             if span is not None:
                 span.record.args["error"] = type(exc).__name__

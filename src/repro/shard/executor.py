@@ -3,17 +3,16 @@
 Each fragment runs on its shard's own simulated machine with its own
 :class:`Timeline`; the modeled devices work **concurrently**, so the
 sharded wall clock is the *maximum* fragment completion plus the
-coordinator's merge — not the sum.  The merge combines per-fragment
-partials with the associative int64 kernels of
-:mod:`repro.core.aggregates` (one float64 division for ``avg``, after
-summation), which is bit-for-bit what the single-device engines compute —
-the merged Result is byte-identical to the one-machine run in every mode
-× strategy × emit shape.
+coordinator's merge — not the sum.  The merge hands the per-fragment
+partials to the shared combiner of :mod:`repro.engine.combine` (the same
+one the base+delta union uses) and bills it as the ``shard.merge.*``
+step; the merged Result is byte-identical to the one-machine run in every
+mode × strategy × emit shape.
 
-A fragment that raises one of the engines' empty-input errors ("min of an
-empty result", "avg over an empty group") simply contributes nothing; if
-*no* fragment contributes, the merge re-raises the same error the
-single-device run would have raised.
+A fragment whose engine raises :class:`~repro.errors.EmptyInputError`
+("min of an empty result", "avg over an empty group") simply contributes
+nothing; if *no* fragment contributes, the combine re-raises the error
+the single-device run would have raised.
 
 **Failure handling (PR 7).**  Fragment dispatch goes through a
 per-fragment retry loop governed by a :class:`~repro.faults.RetryPolicy`:
@@ -50,29 +49,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.aggregates import grouped_max, grouped_min, grouped_sum
 from ..core.intervals import Interval
-from ..core.pair_agg import group_pair_rows
 from ..device.model import OpClass
 from ..device.timeline import Timeline
+from ..engine.combine import combine_aggregates, combine_pairs
 from ..engine.result import ApproximateAnswer, Result
-from ..errors import DeviceFailure, ExecutionError, TransientAllocationError
+from ..errors import (
+    DeviceFailure, EmptyInputError, ExecutionError, TransientAllocationError,
+)
 from ..faults.breaker import CircuitBreaker
 from ..obs import trace as obs_trace
 from ..faults.policy import RetryPolicy
 from ..faults.profile import AttemptFaults, FaultInjector
 from .catalog import ShardedCatalog
-from .planner import AVG_CNT_SUFFIX, AVG_SUM_SUFFIX, Fragment, ShardedPlan
+from .planner import Fragment, ShardedPlan
 
 _OID_BYTES = 8
-
-#: Engine errors that mean "this input slice was empty" — a fragment
-#: raising one contributes nothing instead of failing the sharded query.
-_EMPTY_INPUT_ERRORS = (
-    "min of an empty result",
-    "max of an empty result",
-    "avg over an empty group",
-)
 
 #: Failures the retry loop absorbs; anything else propagates unchanged.
 _RETRYABLE = (DeviceFailure, TransientAllocationError)
@@ -248,7 +240,6 @@ class ShardExecutor:
             if o.timeline is not None:
                 combined.extend(o.timeline)
         combined.extend(merge_timeline)
-        merged.timeline = combined
         return ShardedResult(
             columns=merged.columns,
             row_count=merged.row_count,
@@ -275,11 +266,7 @@ class ShardExecutor:
         self, plan, fragments, merge_timeline, dead_indices
     ) -> Result:
         try:
-            if plan.mode == "approximate":
-                return self._merge_approximate(plan, fragments, merge_timeline)
-            if plan.merge is not None and plan.merge.kind == "pairs":
-                return self._merge_pairs(plan, fragments, merge_timeline)
-            return self._merge_aggregates(plan, fragments, merge_timeline)
+            return self._merge(plan, fragments, merge_timeline)
         except ExecutionError as exc:
             if not dead_indices:
                 raise
@@ -444,9 +431,7 @@ class ShardExecutor:
                     approximate_only=(plan.mode == "approximate"),
                     scan_hits=hits,
                 )
-        except ExecutionError as exc:
-            if str(exc) not in _EMPTY_INPUT_ERRORS:
-                raise
+        except EmptyInputError as exc:
             return _Outcome(
                 fragment, empty_error=str(exc), timeline=timeline,
                 completion_seconds=timeline.total_seconds(),
@@ -593,207 +578,41 @@ class ShardExecutor:
         return total, total if 0 in dead_indices else 0
 
     # ------------------------------------------------------------------
-    # Merge: grouped / ungrouped aggregates
+    # Merge: the shared partial combiner, billed as the ShardMerge step
     # ------------------------------------------------------------------
-    def _merge_aggregates(
+    def _merge(
         self,
         plan: ShardedPlan,
         fragments: list[tuple[Fragment, Result | None, str | None]],
         timeline: Timeline,
     ) -> Result:
         query = plan.query
-        contributed = [
-            (f, r) for f, r, _ in fragments if r is not None
-        ]
-        self._bill_merge(
-            timeline,
-            items=sum(r.row_count for _, r in contributed),
-            item_bytes=_OID_BYTES * max(
-                1, len(query.group_by) + len(query.aggregates)
-            ),
-        )
-        if query.group_by:
-            return self._merge_grouped(plan, fragments, contributed)
-        return self._merge_ungrouped(plan, fragments, contributed)
-
-    def _merge_ungrouped(self, plan, fragments, contributed) -> Result:
-        query = plan.query
-        columns: dict[str, np.ndarray] = {}
-        for agg in query.aggregates:
-            partials = self._scalar_partials(agg, contributed)
-            if agg.func in ("count", "sum"):
-                # int64 accumulation: wraps exactly like the one-machine sum.
-                columns[agg.alias] = np.array(
-                    [np.array(partials, dtype=np.int64).sum()],
-                    dtype=np.int64,
-                )
-            elif agg.func in ("min", "max"):
-                if not partials:
-                    raise ExecutionError(
-                        self._empty_error(agg, fragments)
-                    )
-                combine = min if agg.func == "min" else max
-                columns[agg.alias] = np.array(
-                    [combine(partials)], dtype=np.int64
-                )
-            elif agg.func == "avg":
-                sums = self._scalar_partials_by_alias(
-                    agg.alias + AVG_SUM_SUFFIX, contributed
-                )
-                counts = self._scalar_partials_by_alias(
-                    agg.alias + AVG_CNT_SUFFIX, contributed
-                )
-                total = int(np.array(counts, dtype=np.int64).sum())
-                if total == 0:
-                    raise ExecutionError("avg over an empty group")
-                columns[agg.alias] = (
-                    np.array(
-                        [np.array(sums, dtype=np.int64).sum()],
-                        dtype=np.int64,
-                    ).astype(np.float64)
-                    / np.array([total], dtype=np.int64)
-                )
-            else:
-                raise ExecutionError(f"unknown aggregate {agg.func!r}")
-        return Result(
-            columns=columns, row_count=1, timeline=Timeline(),
-            approximate=self._merged_approximate(plan, fragments),
-        )
-
-    def _scalar_partials(self, agg, contributed) -> list[int]:
-        if agg.func == "avg":
-            return []
-        return self._scalar_partials_by_alias(agg.alias, contributed)
-
-    @staticmethod
-    def _scalar_partials_by_alias(alias: str, contributed) -> list[int]:
-        values = []
-        for _, result in contributed:
-            if alias in result.columns:
-                values.append(int(result.columns[alias][0]))
-        return values
-
-    def _empty_error(self, agg, fragments) -> str:
-        """Re-raise what the single-device run would have said."""
-        for _, result, error in fragments:
-            if result is None and error is not None and agg.func in error:
-                return error
-        return f"{agg.func} of an empty result"
-
-    def _merge_grouped(self, plan, fragments, contributed) -> Result:
-        query = plan.query
-        keys = {
-            name: np.concatenate(
-                [r.columns[name] for _, r in contributed]
-                or [np.empty(0, dtype=np.int64)]
+        parts = [r for _, r, _ in fragments if r is not None]
+        item_bytes = 2 * _OID_BYTES
+        if plan.mode == "approximate":
+            columns, row_count = {}, 0
+            items = max(1, len(plan.fragments)) * max(1, len(query.aggregates))
+        elif plan.merge is not None and plan.merge.kind == "pairs":
+            # Shard-local left positions map back to global rows.
+            row_maps = self.catalog.row_maps[query.table]
+            columns = combine_pairs(
+                (row_maps[f.shard_index][r.columns["left_pos"]],
+                 r.columns["right_pos"])
+                for f, r, _ in fragments if r is not None
             )
-            for name in query.group_by
-        }
-        n_rows = len(next(iter(keys.values())))
-        if n_rows == 0:
-            gids, n_groups = np.empty(0, dtype=np.int64), 0
+            items = row_count = len(columns["left_pos"])
         else:
-            gids, n_groups = group_pair_rows(
-                [keys[name] for name in query.group_by]
+            columns, row_count = combine_aggregates(
+                query, parts, [e for _, _, e in fragments if e]
             )
-        columns: dict[str, np.ndarray] = {}
-        for name in query.group_by:
-            out = np.zeros(n_groups, dtype=np.int64)
-            out[gids] = keys[name]
-            columns[name] = out
-        for agg in query.aggregates:
-            columns[agg.alias] = self._merge_grouped_aggregate(
-                agg, contributed, gids, n_groups
+            items = sum(r.row_count for r in parts)
+            item_bytes = _OID_BYTES * max(
+                1, len(query.group_by) + len(query.aggregates)
             )
+        self._bill_merge(timeline, items=items, item_bytes=item_bytes)
         return Result(
-            columns=columns, row_count=n_groups, timeline=Timeline(),
+            columns=columns, row_count=row_count, timeline=Timeline(),
             approximate=self._merged_approximate(plan, fragments),
-        )
-
-    def _merge_grouped_aggregate(
-        self, agg, contributed, gids, n_groups
-    ) -> np.ndarray:
-        def concat(alias: str) -> np.ndarray:
-            parts = [
-                r.columns[alias] for _, r in contributed
-                if alias in r.columns
-            ]
-            return (
-                np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.int64)
-            )
-
-        if n_groups == 0:
-            return np.array([], dtype=np.int64)
-        if agg.func in ("count", "sum"):
-            return grouped_sum(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        if agg.func == "min":
-            return grouped_min(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        if agg.func == "max":
-            return grouped_max(
-                concat(agg.alias).astype(np.int64), gids, n_groups
-            )
-        if agg.func == "avg":
-            sums = grouped_sum(
-                concat(agg.alias + AVG_SUM_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            ).astype(np.float64)
-            counts = grouped_sum(
-                concat(agg.alias + AVG_CNT_SUFFIX).astype(np.int64),
-                gids, n_groups,
-            )
-            if bool((counts == 0).any()):
-                raise ExecutionError("avg over an empty group")
-            return sums / counts
-        raise ExecutionError(f"unknown aggregate {agg.func!r}")
-
-    # ------------------------------------------------------------------
-    # Merge: bare theta-join pair sets
-    # ------------------------------------------------------------------
-    def _merge_pairs(self, plan, fragments, timeline) -> Result:
-        query = plan.query
-        row_maps = self.catalog.row_maps[query.table]
-        lefts, rights = [], []
-        for fragment, result, _ in fragments:
-            if result is None:
-                continue
-            rows = row_maps[fragment.shard_index]
-            lefts.append(rows[result.columns["left_pos"]])
-            rights.append(result.columns["right_pos"])
-        left = (
-            np.concatenate(lefts) if lefts else np.empty(0, dtype=np.int64)
-        )
-        right = (
-            np.concatenate(rights) if rights else np.empty(0, dtype=np.int64)
-        )
-        self._bill_merge(
-            timeline, items=len(left), item_bytes=2 * _OID_BYTES
-        )
-        order = np.lexsort((right, left))
-        return Result(
-            columns={"left_pos": left[order], "right_pos": right[order]},
-            row_count=len(left),
-            timeline=Timeline(),
-            approximate=self._merged_approximate(plan, fragments),
-        )
-
-    # ------------------------------------------------------------------
-    # Merge: approximate-only mode
-    # ------------------------------------------------------------------
-    def _merge_approximate(self, plan, fragments, timeline) -> Result:
-        query = plan.query
-        answer = self._merged_approximate(plan, fragments)
-        self._bill_merge(
-            timeline,
-            items=max(1, len(plan.fragments)) * max(1, len(query.aggregates)),
-            item_bytes=2 * _OID_BYTES,
-        )
-        return Result(
-            columns={}, row_count=0, timeline=Timeline(), approximate=answer
         )
 
     def _merged_approximate(

@@ -21,6 +21,12 @@ placement-aware twists:
 Theta batches run member-by-member (their fragments already share the
 replicated right side's memoized views back to back, the PR-5 locality
 story; the cross-member fused sweep remains single-device-only).
+
+Everything else is the single-device batch loop, inherited unchanged:
+batch forming, the solo peel of delta shapes a post-hoc fold cannot
+absorb, and compaction past the delta watermark between batches.  A fused
+member's pending delta folds in through the same union the sharded solo
+``query()`` runs, so served and solo answers and Timelines agree.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from ..engine.cooperative import (
     cooperative_scan_hits,
 )
 from ..errors import ReproError
-from ..obs import trace as obs_trace
+from ..ingest.union import delta_tables
 from ..plan.physical import ApproxScanSelect
 from ..serve.scheduler import AdmissionPolicy, Scheduler, _Pending
 
@@ -47,33 +53,30 @@ class ShardScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Admission: budget and scratch become placement-aware
     # ------------------------------------------------------------------
-    def _min_shard_headroom(self) -> int | None:
-        """The scarcest *healthy* device's scaled free bytes.
+    def _healthy_pools(self) -> list:
+        """Device pools of the shards whose circuit breaker is closed.
 
-        Shards whose circuit breaker is open are quarantined: their
-        fragments fast-fail to degraded answers without touching device
-        memory, so a dead device must not throttle admission for the
-        survivors (None = unbounded).
+        Quarantined shards' fragments fast-fail to degraded answers without
+        touching device memory, so a dead device must not throttle
+        admission for the survivors.
         """
         quarantined = self.session.executor.quarantined_shards()
-        headrooms = [
-            shard.machine.gpu.pool.headroom(
-                self.policy.device_headroom_fraction
-            )
+        return [
+            shard.machine.gpu.pool
             for shard in self.session.sharded_catalog.shards
             if shard.index not in quarantined
         ]
+
+    def _batch_budget(self) -> int | None:
+        """The scarcest healthy device's scaled free bytes (None = ∞)."""
+        fraction = self.policy.device_headroom_fraction
+        headrooms = [p.headroom(fraction) for p in self._healthy_pools()]
         bounded = [h for h in headrooms if h is not None]
         return min(bounded) if bounded else None
 
     def _admission_capacity(self) -> int | None:
         """Fail-fast bound: the smallest healthy shard pool's capacity."""
-        quarantined = self.session.executor.quarantined_shards()
-        capacities = [
-            shard.machine.gpu.pool.capacity
-            for shard in self.session.sharded_catalog.shards
-            if shard.index not in quarantined
-        ]
+        capacities = [p.capacity for p in self._healthy_pools()]
         bounded = [c for c in capacities if c is not None]
         if not bounded:
             return None
@@ -100,83 +103,37 @@ class ShardScheduler(Scheduler):
         return int(total * max(rows) / n)
 
     # ------------------------------------------------------------------
-    # Batch execution
+    # Batch execution: the shared loop, sharded kernels
     # ------------------------------------------------------------------
-    def _run_batch_inner(self) -> None:
-        qt = obs_trace.ACTIVE
-        self._expire_stale()
-        if not self._queue:
-            return
-        if qt is None:
-            batch, split = self._queue.pop_batch(
-                self.policy, self._min_shard_headroom()
-            )
-        else:
-            with qt.span("batch.form", track="scheduler") as rec:
-                batch, split = self._queue.pop_batch(
-                    self.policy, self._min_shard_headroom()
-                )
-                rec.args["queries"] = len(batch)
-                rec.args["split"] = split
-        self.stats.batches += 1
-        size = len(batch)
-        self.stats.batch_size_counts[size] = (
-            self.stats.batch_size_counts.get(size, 0) + 1
-        )
-        self.stats.largest_batch = max(self.stats.largest_batch, size)
-        if split:
-            self.stats.memory_splits += 1
+    def _run_fused_theta_batch(self, batch: list[_Pending]) -> None:
+        """Members run one by one: their fragments already share the
+        replicated right side's memoized views back to back; the
+        cross-member fused sweep is single-device."""
         for pending in batch:
-            pending.handle._begin()
-        kind = batch[0].group[0][0]
-        if (
-            kind == "scan"
-            and len(batch) > 1
-            and batch[0].mode in ("ar", "approximate")
-        ):
-            if (
-                self.policy.optimizer == "cost"
-                and not self._gate_allows_fuse(batch)
-            ):
-                self.stats.cost_gated_solo += 1
-                for pending in batch:
-                    self._run_solo(pending)
-            else:
-                self._run_fused_scan_batch(batch)
-        else:
-            if kind == "theta" and len(batch) > 1:
-                # Members still share the replicated right side's memoized
-                # views back to back (the PR-5 locality win).
-                self.stats.shared_right_batches += 1
-            for pending in batch:
-                self._run_solo(pending)
+            self._run_solo(pending)
 
-    def _run_sharded_plan(self, pending: _Pending, plan, scan_hits=None):
-        """Execute an already-lowered ShardedPlan for one pending query."""
-        qt = obs_trace.ACTIVE
-        span = None
-        if qt is not None:
-            span = qt.span(
-                f"query#{pending.handle.seq}", track="scheduler",
-                mode=pending.mode,
-                kind="fused" if scan_hits else "member",
-            )
-            span.__enter__()
-        try:
-            result = self.session.executor.execute(plan, scan_hits=scan_hits)
-        except ReproError as exc:
-            if span is not None:
-                span.record.args["error"] = type(exc).__name__
-                span.__exit__(None, None, None)
-            pending.handle._fail(exc)
-            self.stats.failed += 1
-            return None
-        if span is not None:
-            span.record.modeled = result.timeline.total_seconds()
-            span.__exit__(None, None, None)
-            qt.add_timeline(result.timeline)
-        self._note_result(pending, result)
-        return result
+    def _execute_plan(self, pending: _Pending, plan, scan_hits=None,
+                      theta_runs=None):
+        """One member's ShardedPlan with its per-shard carved hits; pending
+        delta folds in through the sharded solo union path, with this run
+        as its base."""
+        session = self.session
+        catalog = session.catalog
+        deltas = (
+            delta_tables(pending.query, catalog)
+            if catalog.tables_with_delta() else None
+        )
+        if not deltas:
+            return session.executor.execute(plan, scan_hits=scan_hits)
+        # Solo-only delta shapes (exact avg/min/max) were peeled off before
+        # the batch ran, so the union's base query is the member's own.
+        return session._query_with_delta(
+            pending.query, deltas, mode=pending.mode,
+            pushdown=pending.pushdown,
+            predicate_order=pending.predicate_order,
+            optimizer=self.policy.optimizer, timeline=None,
+            plan=plan, scan_hits=scan_hits,
+        )
 
     def _run_fused_scan_batch(self, batch: list[_Pending]) -> None:
         """Per-shard cooperative passes for the batch's shared first scans.
@@ -256,4 +213,4 @@ class ShardScheduler(Scheduler):
             self.stats.fused_batches += 1
             self.stats.fused_queries += len(fused_members)
         for i, (pending, plan) in enumerate(lowered):
-            self._run_sharded_plan(pending, plan, scan_hits=hits_for.get(i))
+            self._run_with_plan(pending, plan, scan_hits=hits_for.get(i))

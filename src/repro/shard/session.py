@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..device.timeline import Timeline
-from ..errors import PlanError
+from ..engine.session import QueryFront
 from ..faults.policy import RetryPolicy
 from ..faults.profile import FaultInjector, FaultProfile
 from ..obs import trace as obs_trace
@@ -26,11 +26,7 @@ from .catalog import ShardedCatalog
 from .executor import ShardedResult, ShardExecutor
 from .planner import ShardPlanner
 
-MODES = ("ar", "classic", "approximate")
-RUN_OPTIMIZERS = ("auto", "heuristic", "cost")
-
-
-class ShardedSession:
+class ShardedSession(QueryFront):
     """One logical session whose data lives on ``n_shards`` machines."""
 
     def __init__(
@@ -45,11 +41,6 @@ class ShardedSession:
         self.executor = ShardExecutor(
             self.sharded_catalog, retry_policy=retry_policy
         )
-        self.tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Attach an :class:`~repro.obs.trace.Tracer` (None detaches)."""
-        self.tracer = tracer
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing)
@@ -215,79 +206,60 @@ class ShardedSession:
     def _query_with_delta(
         self, query: Query, deltas: dict, *, mode: str, pushdown: bool,
         predicate_order: str, optimizer: str, timeline: Timeline | None,
+        plan=None, scan_hits=None,
     ) -> ShardedResult:
         """Base fragments exactly as today + central delta contributions.
 
-        Delta rows are evaluated exactly on the coordinator (billed as
-        ``ingest.delta.*`` spans on its CPU) against the global catalog and
-        merged into the sharded base result; the coordinator work extends
-        ``merge_seconds``/``wall_clock_seconds``.
+        The union is :func:`~repro.ingest.union.union_with_delta` with the
+        sharded base run plugged in: delta rows are evaluated exactly on
+        the coordinator (billed as ``ingest.delta.*`` spans on its CPU)
+        against the global catalog, and that coordinator work extends
+        ``merge_seconds``/``wall_clock_seconds``.  The placement-aware
+        scheduler passes its member's lowered ``plan`` and fused per-shard
+        ``scan_hits`` for the base run.
         """
         from dataclasses import replace as dc_replace
 
-        from ..errors import ExecutionError
-        from ..ingest.union import (
-            _contribution_parts, _is_empty_error, _lowered_query, _merge,
-        )
+        from ..ingest.union import union_with_delta
 
-        gcat = self.catalog
-        cpu = self.sharded_catalog.coordinator.cpu
-        lowered = mode != "approximate" and any(
-            a.func == "avg" for a in query.aggregates
+        tl = Timeline()
+        base = ShardedResult(columns={}, row_count=0, timeline=Timeline())
+
+        def run_base(base_query: Query) -> ShardedResult:
+            nonlocal base
+            base = self.executor.execute(
+                plan if plan is not None else self._plan(
+                    base_query, mode=mode, pushdown=pushdown,
+                    predicate_order=predicate_order, optimizer=optimizer,
+                ),
+                scan_hits=scan_hits,
+            )
+            tl.extend(base.timeline)
+            return base
+
+        merged = union_with_delta(
+            query, deltas, run_base, catalog=self.catalog,
+            cpu=self.sharded_catalog.coordinator.cpu, mode=mode, timeline=tl,
         )
-        base_query = _lowered_query(query) if lowered else query
-        base: ShardedResult | None = None
-        base_error: str | None = None
-        try:
-            plan = self._plan(
-                base_query, mode=mode, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-            )
-            base = self.executor.execute(plan)
-        except ExecutionError as exc:
-            if not _is_empty_error(exc):
-                raise
-            base_error = str(exc)
-        tl = base.timeline if base is not None else Timeline()
-        before = len(tl.spans)
-        contribs = _contribution_parts(gcat, cpu, query, deltas, tl)
-        merged = _merge(
-            query, mode, base, base_error, contribs, tl, gcat, cpu,
-            lowered=lowered,
+        delta_seconds = sum(
+            s.seconds for s in tl.spans[len(base.timeline.spans):]
         )
-        delta_seconds = sum(s.seconds for s in tl.spans[before:])
-        if base is not None:
-            out = dc_replace(
-                base,
-                columns=merged.columns, row_count=merged.row_count,
-                approximate=merged.approximate,
-                decimal_scales=merged.decimal_scales,
-                merge_seconds=base.merge_seconds + delta_seconds,
-                wall_clock_seconds=base.wall_clock_seconds + delta_seconds,
-            )
-        else:
-            out = ShardedResult(
-                columns=merged.columns, row_count=merged.row_count,
-                timeline=tl, approximate=merged.approximate,
-                decimal_scales=merged.decimal_scales,
-                merge_seconds=delta_seconds,
-                wall_clock_seconds=delta_seconds,
-            )
+        out = dc_replace(
+            base,
+            columns=merged.columns, row_count=merged.row_count, timeline=tl,
+            approximate=merged.approximate,
+            decimal_scales=merged.decimal_scales,
+            merge_seconds=base.merge_seconds + delta_seconds,
+            wall_clock_seconds=base.wall_clock_seconds + delta_seconds,
+        )
         if timeline is not None:
             timeline.extend(out.timeline)
             out.timeline = timeline
         return out
 
     # ------------------------------------------------------------------
-    # Query building / execution
+    # Query execution
     # ------------------------------------------------------------------
-    def table(self, name: str):
-        """Start a lazy query block over ``name`` — the primary API."""
-        from ..engine.builder import RelationBuilder
-
-        self.catalog.table(name)  # fail fast on unknown tables
-        return RelationBuilder(self, name)
-
     def query(
         self,
         query: Query,
@@ -306,30 +278,11 @@ class ShardedSession:
         falls back to the heuristic plan where it does not.  Merged
         Results stay byte-identical across optimizers.
         """
-        if mode not in MODES:
-            raise PlanError(f"unknown mode {mode!r}; pick one of {MODES}")
-        if optimizer not in RUN_OPTIMIZERS:
-            raise PlanError(
-                f"unknown optimizer {optimizer!r}; "
-                f"pick one of {RUN_OPTIMIZERS}"
-            )
-        tracer = self.tracer
-        if tracer is None:
-            return self._run_query(
-                query, mode=mode, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-                timeline=timeline,
-            )
-        with tracer.trace(f"query:{query.table}") as qt:
-            result = self._run_query(
-                query, mode=mode, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-                timeline=timeline,
-            )
-            if qt is not None:
-                qt.result_timeline = result.timeline
-                qt.add_timeline(result.timeline)
-            return result
+        return self._traced_query(
+            query, mode=mode, pushdown=pushdown,
+            predicate_order=predicate_order, optimizer=optimizer,
+            timeline=timeline,
+        )
 
     def _run_query(
         self,
@@ -374,25 +327,15 @@ class ShardedSession:
         self, query: Query, *, mode: str, pushdown: bool,
         predicate_order: str, optimizer: str,
     ):
-        """Lower to a ShardedPlan, resolving the ``"auto"`` optimizer.
+        """Lower to a ShardedPlan, resolving the ``"auto"`` optimizer
+        (:func:`~repro.opt.planner.with_fallback`; scope errors re-raise
+        from the heuristic fallback identically)."""
+        from ..opt.planner import with_fallback
 
-        ``"auto"`` tries the cost-based fragment shapes first and falls
-        back to the heuristic plan when the cost model declines
-        (:class:`~repro.errors.PlanError`); scope errors re-raise from
-        the fallback identically.
-        """
-        if optimizer == "auto":
-            try:
-                return self.planner.plan(
-                    query, mode=mode, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer="cost",
-                )
-            except PlanError:
-                optimizer = "heuristic"
-        return self.planner.plan(
+        return with_fallback(optimizer, lambda opt: self.planner.plan(
             query, mode=mode, pushdown=pushdown,
-            predicate_order=predicate_order, optimizer=optimizer,
-        )
+            predicate_order=predicate_order, optimizer=opt,
+        ))
 
     def serve(
         self,

@@ -1,13 +1,9 @@
 """The lazy relational builder API and the theta-join plan path.
 
 Covers the PR-4 redesign: theta/band joins as first-class plan nodes behind
-``session.table(...)``, the deprecated ``Session.theta_join`` shim
-(byte-identical Result and Timeline), three-mode agreement against the
-brute-force oracle, and the aggregate-only fast path that never
-materializes a pair.
+``session.table(...)``, three-mode agreement against the brute-force
+oracle, and the aggregate-only fast path that never materializes a pair.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -273,11 +269,7 @@ class TestThetaViaBuilder:
         assert bound.lo <= exact <= bound.hi
 
 
-class TestDeprecatedShim:
-    def test_emits_deprecation_warning(self, session):
-        with pytest.warns(DeprecationWarning):
-            session.theta_join("orders.price", "quotes.price", "<")
-
+class TestStrategiesViaBuilder:
     @pytest.mark.parametrize("op,delta", ALL_OPS)
     @pytest.mark.parametrize("strategy,emit", [
         ("auto", "auto"),
@@ -285,40 +277,44 @@ class TestDeprecatedShim:
         ("sorted", "pairs"),
         ("bruteforce", "pairs"),
     ])
-    def test_shim_is_byte_identical_to_builder(
+    def test_every_strategy_matches_oracle_and_charges_identically(
         self, session, op, delta, strategy, emit
     ):
-        """Every op × strategy × emit: same Result columns, same modeled
-        Timeline span for span — the shim is a pure alias of the plan path."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = session.theta_join(
-                "orders.price", "quotes.price", op, delta,
-                strategy=strategy, emit=emit,
+        """Every op × strategy × emit: the oracle's pairs, a superset
+        candidate count, and the same modeled Timeline span for span as
+        the sorted run-length run — strategy and emit are unobservable."""
+        def run(strategy, emit):
+            return (
+                session.table("orders")
+                .theta_join(
+                    "quotes", on="price", op=op, delta=delta,
+                    strategy=strategy, emit=emit,
+                )
+                .run(mode="ar")
             )
-        built = (
-            session.table("orders")
-            .theta_join(
-                "quotes", on="price", op=op, delta=delta,
-                strategy=strategy, emit=emit,
-            )
-            .run(mode="ar")
-        )
-        assert shim.row_count == built.row_count
-        assert np.array_equal(shim.column("left_pos"), built.column("left_pos"))
-        assert np.array_equal(
-            shim.column("right_pos"), built.column("right_pos")
-        )
-        assert shim.approximate.candidate_rows == built.approximate.candidate_rows
-        assert spans_of(shim.timeline) == spans_of(built.timeline)
 
-    def test_shim_rejects_malformed_operands(self, session):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(PlanError):
-                session.theta_join("price", "quotes.price", "<")
-            with pytest.raises(PlanError):
-                session.theta_join("orders.price", "quotes.price", "!!")
+        built = run(strategy, emit)
+        reference = run("sorted", "runs")
+        truth = oracle_pairs(session, op, delta)
+        assert built.row_count == len(truth)
+        assert np.array_equal(built.column("left_pos"), truth.left_positions)
+        assert np.array_equal(built.column("right_pos"), truth.right_positions)
+        assert built.approximate.candidate_rows >= built.row_count
+        assert (
+            built.approximate.candidate_rows
+            == reference.approximate.candidate_rows
+        )
+        assert spans_of(built.timeline) == spans_of(reference.timeline)
+
+    def test_rejects_malformed_operands(self, session):
+        with pytest.raises(PlanError):
+            session.table("orders").theta_join(
+                "quotes", on=("nope", "price"), op="<"
+            ).run()
+        with pytest.raises(PlanError):
+            session.table("orders").theta_join(
+                "quotes", on="price", op="!!"
+            ).run()
 
 
 class TestAggregateOnlyFastPath:

@@ -213,7 +213,7 @@ class TestBreakerServingIntegration:
                 if shard.index != 2
             ]
             bounded = [h for h in healthy_headrooms if h is not None]
-            assert server._min_shard_headroom() == (
+            assert server._batch_budget() == (
                 min(bounded) if bounded else None
             )
             h = server.submit(wide_count(s, 0, DOMAIN))

@@ -97,7 +97,7 @@ def test_classic_mode_routes_solo(session):
 
 def test_admission_budget_is_min_shard_headroom(session):
     server = session.serve()
-    budget = server._min_shard_headroom()
+    budget = server._batch_budget()
     headrooms = [
         shard.machine.gpu.pool.headroom(1.0)
         for shard in session.sharded_catalog.shards
