@@ -24,6 +24,7 @@ from ..device.model import AccessPattern, OpClass
 from ..device.timeline import Timeline
 from ..errors import ExecutionError
 from ..storage.decompose import BwdColumn
+from ..util import dense_ids
 from .candidates import Approximation
 
 _OID_BYTES = 8
@@ -47,10 +48,12 @@ class GroupAssignment:
 def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     """Fold one more key column into composite group ids.
 
-    Pairs ``(gid, code)`` are renumbered densely with ``np.unique``; the
-    intermediate pairing key must fit in 62 bits, which holds for any
-    realistic grouping (the paper argues high-cardinality groupings are
-    rare precisely because they are useless).
+    Pairs ``(gid, code)`` are renumbered densely by
+    :func:`~repro.util.dense_ids`: each new id is the rank of its pairing
+    key among the sorted distinct keys.  The pairing key must fit in 62
+    bits, which holds for any realistic grouping (the paper argues
+    high-cardinality groupings are rare precisely because they are
+    useless).
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size == 0:
@@ -59,8 +62,8 @@ def combine_keys(gids: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, int]:
     if int(gids.max(initial=0) + 1) * span >= _COMBINE_LIMIT:
         raise ExecutionError("composite grouping key exceeds 62 bits")
     paired = gids * span + codes
-    uniques, new_gids = np.unique(paired, return_inverse=True)
-    return new_gids.astype(np.int64), len(uniques)
+    uniques, new_gids = dense_ids(paired)
+    return new_gids, len(uniques)
 
 
 def group_approx(
@@ -141,8 +144,8 @@ def group_refine(
     """Sub-divide approximate groups by host-resident residual bits.
 
     Rows sharing an approximate group id but differing in residuals belong
-    to different exact groups; one ``np.unique`` pass per residual column
-    renumbers them densely.  A no-op when the pre-grouping was exact.
+    to different exact groups; one :func:`combine_keys` pass per residual
+    column renumbers them densely.  A no-op when the pre-grouping was exact.
     """
     if assignment.exact:
         return assignment

@@ -59,17 +59,32 @@ class IntervalColumn:
     * an exact column → degenerate intervals (``lo == hi``),
     * a decomposed column's approximation codes → bucket bounds,
     * arithmetic on other interval columns → propagated bounds.
+
+    Invariant: ``hi is lo`` if and only if every row is exact.  Exactness
+    is settled once, at construction — equal bounds collapse into one
+    array — so :attr:`is_exact` is an identity test and arithmetic on
+    exact inputs computes one array instead of two (or four corners).  The
+    shared array is a read-only view: an in-place write to one bound
+    raises instead of silently moving the other.
     """
 
     __slots__ = ("lo", "hi", "refinable")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, *, refinable: bool) -> None:
+        exact = hi is lo
         lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        if lo.shape != hi.shape:
-            raise ExecutionError("interval bounds misaligned")
-        if lo.size and bool((lo > hi).any()):
-            raise ExecutionError("interval with lo > hi")
+        if not exact:
+            hi = np.asarray(hi, dtype=np.int64)
+            if lo.shape != hi.shape:
+                raise ExecutionError("interval bounds misaligned")
+            if lo.size and bool((lo > hi).any()):
+                raise ExecutionError("interval with lo > hi")
+            exact = bool(np.array_equal(lo, hi))
+        if exact:
+            if lo.flags.writeable:
+                lo = lo.view()
+                lo.flags.writeable = False
+            hi = lo
         self.lo = lo
         self.hi = hi
         #: True while every row is error-free; multiplying two inexact
@@ -79,15 +94,13 @@ class IntervalColumn:
     # ------------------------------------------------------------------
     @classmethod
     def exact(cls, values: np.ndarray) -> "IntervalColumn":
-        values = np.asarray(values, dtype=np.int64)
-        return cls(values, values.copy(), refinable=True)
+        return cls(values, values, refinable=True)
 
     @classmethod
     def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalColumn":
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        refinable = bool(np.array_equal(lo, hi))
-        return cls(lo, hi, refinable=refinable)
+        column = cls(lo, hi, refinable=False)
+        column.refinable = column.is_exact
+        return column
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -95,36 +108,42 @@ class IntervalColumn:
 
     @property
     def is_exact(self) -> bool:
-        return bool(np.array_equal(self.lo, self.hi))
+        return self.hi is self.lo
 
     @property
     def max_error(self) -> int:
-        if len(self) == 0:
+        if len(self) == 0 or self.is_exact:
             return 0
         return int((self.hi - self.lo).max())
 
     def take(self, positions: np.ndarray) -> "IntervalColumn":
         """Row subset by integer positions or a boolean keep-mask."""
-        return IntervalColumn(
-            self.lo[positions], self.hi[positions], refinable=self.refinable
-        )
+        lo = self.lo[positions]
+        hi = lo if self.is_exact else self.hi[positions]
+        return IntervalColumn(lo, hi, refinable=self.refinable)
 
     # ------------------------------------------------------------------
     # Arithmetic (paper §IV-B: add/sub/mul/div, sqrt/power)
+    #
+    # Exact operands take a one-array path; its result is byte-identical
+    # to the general formula, whose corners then all coincide (int64
+    # wrap-around included).
     # ------------------------------------------------------------------
     def add(self, other: "IntervalColumn") -> "IntervalColumn":
-        return IntervalColumn(
-            self.lo + other.lo, self.hi + other.hi,
-            refinable=self.refinable and other.refinable,
-        )
+        refinable = self.refinable and other.refinable
+        if self.is_exact and other.is_exact:
+            return _exact(self.lo + other.lo, refinable)
+        return IntervalColumn(self.lo + other.lo, self.hi + other.hi, refinable=refinable)
 
     def sub(self, other: "IntervalColumn") -> "IntervalColumn":
-        return IntervalColumn(
-            self.lo - other.hi, self.hi - other.lo,
-            refinable=self.refinable and other.refinable,
-        )
+        refinable = self.refinable and other.refinable
+        if self.is_exact and other.is_exact:
+            return _exact(self.lo - other.lo, refinable)
+        return IntervalColumn(self.lo - other.hi, self.hi - other.lo, refinable=refinable)
 
     def neg(self) -> "IntervalColumn":
+        if self.is_exact:
+            return _exact(-self.lo, self.refinable)
         return IntervalColumn(-self.hi, -self.lo, refinable=self.refinable)
 
     def mul(self, other: "IntervalColumn") -> "IntervalColumn":
@@ -132,18 +151,18 @@ class IntervalColumn:
 
         When either side carries error, the result is *not* refinable from
         device-side data — the cross terms ``a_ap·b_re`` etc. need both
-        operands on one device (destructive distributivity, §IV-G).
+        operands on one device (destructive distributivity, §IV-G).  Two
+        exact operands need a single product.
         """
+        if self.is_exact and other.is_exact:
+            return _exact(self.lo * other.lo, self.refinable and other.refinable)
         p1 = self.lo * other.lo
         p2 = self.lo * other.hi
         p3 = self.hi * other.lo
         p4 = self.hi * other.hi
         lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
         hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        exact_inputs = self.is_exact and other.is_exact
-        return IntervalColumn(
-            lo, hi, refinable=exact_inputs and self.refinable and other.refinable
-        )
+        return IntervalColumn(lo, hi, refinable=False)
 
     def floordiv(self, other: "IntervalColumn") -> "IntervalColumn":
         """Conservative integer division; divisor intervals must exclude 0."""
@@ -185,9 +204,13 @@ class IntervalColumn:
         )
 
     def add_scalar(self, value: int) -> "IntervalColumn":
+        if self.is_exact:
+            return _exact(self.lo + value, self.refinable)
         return IntervalColumn(self.lo + value, self.hi + value, refinable=self.refinable)
 
     def mul_scalar(self, value: int) -> "IntervalColumn":
+        if self.is_exact:
+            return _exact(self.lo * value, self.refinable)
         if value >= 0:
             return IntervalColumn(
                 self.lo * value, self.hi * value, refinable=self.refinable
@@ -222,3 +245,8 @@ class IntervalColumn:
     @property
     def nbytes(self) -> int:
         return self.lo.nbytes + self.hi.nbytes
+
+
+def _exact(values: np.ndarray, refinable: bool) -> IntervalColumn:
+    """An exact column over ``values`` with the given refinability."""
+    return IntervalColumn(values, values, refinable=refinable)

@@ -37,10 +37,12 @@ def group_pair_rows(
 ) -> tuple[np.ndarray, int]:
     """Dense group ids over composite exact keys, aligned with the rows.
 
-    Group numbering comes from ``np.unique`` over the composite key — a
-    pure function of the key *values*, so the A&R refinement (producer-order
-    rows) and the classic executor (table-order rows) assign identical ids
-    to identical key tuples.
+    Group numbering comes from :func:`~repro.core.grouping.combine_keys`
+    (:func:`~repro.util.dense_ids`): each id is the rank of its composite
+    key among the sorted distinct keys — a pure function of the key
+    *values*, so the A&R refinement (producer-order rows) and the classic
+    executor (table-order rows) assign identical ids to identical key
+    tuples.
     """
     if not key_columns:
         raise ExecutionError("group_pair_rows needs at least one key column")

@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import DataNotResident
 from ..storage.bitpack import packed_nbytes
 from ..storage.decompose import BwdColumn
+from ..util import dense_ids
 from .memory import MemoryPool
 from .model import AccessPattern, DeviceSpec, GTX_680, OpClass
 from .timeline import Timeline
@@ -248,10 +249,12 @@ class SimulatedGPU:
         """Hash-based pre-grouping of approximate values (paper §IV-E).
 
         Returns ``(group_ids, unique_codes)`` with group ids positionally
-        aligned to the input.  The conflict model charges extra time when
-        few groups force many parallel writers onto the same table entries.
+        aligned to the input: each id is the rank of its code among the
+        sorted distinct codes (:func:`~repro.util.dense_ids`).  The conflict
+        model charges extra time when few groups force many parallel
+        writers onto the same table entries.
         """
-        unique_codes, group_ids = np.unique(codes, return_inverse=True)
+        unique_codes, group_ids = dense_ids(codes)
         n = codes.size
         groups = max(1, unique_codes.size)
         conflict_multiplier = 1.0 + _CONFLICT_SCALE / groups
@@ -260,7 +263,7 @@ class SimulatedGPU:
             AccessPattern.RANDOM, multiplier=conflict_multiplier,
             tuples=n, op_class=OpClass.HASH,
         )
-        return group_ids.astype(np.int64), unique_codes
+        return group_ids, unique_codes
 
     def minmax_candidates(
         self,

@@ -86,6 +86,7 @@ from ..plan.physical import (
 )
 from ..storage.catalog import Catalog
 from ..storage.decompose import BwdColumn
+from ..util import dense_ids
 from .result import ApproximateAnswer, Result
 
 _OID_BYTES = 8
@@ -118,6 +119,8 @@ class _ExecState:
         # (starts, stops, order, order_key) from a fused sweep over the
         # shared right side.
         self.theta_runs: dict[int, tuple] | None = None
+        # ArExecutor._certainty's memo: (candidate set, its certain mask).
+        self.certainty: tuple[Approximation, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def pair_left_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -480,16 +483,26 @@ class ArExecutor:
         """Rows certainly satisfying every predicate, judged on the device.
 
         Predicates not decidable on the device (host-only columns) force
-        uncertainty — their rows may yet be eliminated in refinement.
+        uncertainty — their rows may yet be eliminated in refinement.  The
+        (read-only) mask is computed once per candidate set and cached with
+        the candidate object: the aggregates run last in the approximation
+        subplan, after every payload is attached, and a prune that narrows
+        the set makes a new candidate object.
         """
-        assert state.candidates is not None
-        n = len(state.candidates)
-        mask = np.ones(n, dtype=bool)
+        candidates = state.candidates
+        assert candidates is not None
+        if state.certainty is not None and state.certainty[0] is candidates:
+            return state.certainty[1]
+        n = len(candidates)
         device_preds = self._device_predicates(state)
         if len(device_preds) != len(state.query.where):
-            return np.zeros(n, dtype=bool)
-        for pred in device_preds:
-            mask &= pred.certain_mask(state.interval_resolver)
+            mask = np.zeros(n, dtype=bool)
+        else:
+            mask = np.ones(n, dtype=bool)
+            for pred in device_preds:
+                mask &= pred.certain_mask(state.interval_resolver)
+        mask.flags.writeable = False
+        state.certainty = (candidates, mask)
         return mask
 
     def _approx_aggregate(self, agg: Aggregate, state: _ExecState) -> None:
@@ -535,7 +548,9 @@ class ArExecutor:
         elif n == 0:
             iv = Interval(0.0, 0.0) if agg.func == "sum" else None
         elif agg.func == "sum":
-            iv = self._sum_bounds(bounds, certain)
+            [iv] = self._grouped_sum_bounds(
+                bounds, certain, np.zeros(n, dtype=np.int64), 1
+            )
         elif agg.func == "avg":
             iv = Interval(float(bounds.lo.min()), float(bounds.hi.max()))
         elif agg.func == "min":
@@ -549,20 +564,18 @@ class ArExecutor:
         state.approximate.aggregates[agg.alias] = iv
 
     @staticmethod
-    def _sum_bounds(bounds: IntervalColumn, certain: np.ndarray) -> Interval:
-        """Sum bounds under candidacy uncertainty: uncertain rows may vanish."""
-        lo = bounds.lo.copy()
-        hi = bounds.hi.copy()
-        lo[~certain] = np.minimum(lo[~certain], 0)
-        hi[~certain] = np.maximum(hi[~certain], 0)
-        return Interval(float(lo.sum()), float(hi.sum()))
-
-    @staticmethod
-    def _grouped_sum_bounds(bounds, certain, gids, n_groups) -> list[Interval]:
-        lo = bounds.lo.copy()
-        hi = bounds.hi.copy()
-        lo[~certain] = np.minimum(lo[~certain], 0)
-        hi[~certain] = np.maximum(hi[~certain], 0)
+    def _grouped_sum_bounds(
+        bounds: IntervalColumn, certain: np.ndarray, gids: np.ndarray,
+        n_groups: int,
+    ) -> list[Interval]:
+        """Per-group sum bounds under candidacy uncertainty: an uncertain
+        row may vanish, so its bounds widen to include 0.  An ungrouped sum
+        is one group."""
+        if bounds.is_exact and certain.all():
+            sums = agg_kernels.grouped_sum(bounds.lo, gids, n_groups)
+            return [Interval(float(v), float(v)) for v in sums]
+        lo = np.where(certain, bounds.lo, np.minimum(bounds.lo, 0))
+        hi = np.where(certain, bounds.hi, np.maximum(bounds.hi, 0))
         lo_sums = agg_kernels.grouped_sum(lo, gids, n_groups)
         hi_sums = agg_kernels.grouped_sum(hi, gids, n_groups)
         return [Interval(float(a), float(b)) for a, b in zip(lo_sums, hi_sums)]
@@ -851,9 +864,8 @@ class ArExecutor:
         # Refinement may have emptied approximate groups: re-densify so the
         # result has exactly the surviving groups.
         if n:
-            _, gids = np.unique(gids, return_inverse=True)
-            gids = gids.astype(np.int64)
-            n_groups = int(gids.max()) + 1
+            uniques, gids = dense_ids(gids)
+            n_groups = len(uniques)
         else:
             n_groups = 0  # nothing survived refinement: no groups at all
         state.groups = GroupAssignment(gids=gids, n_groups=n_groups, exact=True)
@@ -940,7 +952,6 @@ class ArExecutor:
             n_groups = state.groups.n_groups
             gids = state.groups.gids
         else:
-            n_groups = min(1, len(state.candidates)) if state.query.aggregates else 0
             n_groups = 1
             gids = np.zeros(len(state.candidates), dtype=np.int64)
 

@@ -11,8 +11,9 @@ the union of the partials' rows:
 * ``count``/``sum`` add in int64 (wrapping like the one-run sum) and
   ``min``/``max`` fold; ``avg`` partials run *lowered*
   (:func:`lower_aggregates`) and the combine does the one float64 division;
-* grouped partials regroup through the ``np.unique``-ordered ids of
-  :func:`~repro.core.pair_agg.group_pair_rows`, the ids one run assigns;
+* grouped partials regroup through the ids of
+  :func:`~repro.core.pair_agg.group_pair_rows` — the rank of each key
+  tuple among the sorted distinct tuples, the ids one run assigns;
 * a partial whose engine raised :class:`~repro.errors.EmptyInputError`
   contributes nothing, and when no partial has a value the combine
   re-raises what one run over every row would have raised.

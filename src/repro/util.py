@@ -74,3 +74,30 @@ def as_index_array(values: np.ndarray | list[int]) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"index array must be 1-D, got shape {arr.shape}")
     return arr
+
+
+#: Widest key range, as a multiple of the row count, that :func:`dense_ids`
+#: numbers by counting; wider (or negative) keys are sorted instead.
+DENSE_RANGE_FACTOR = 2
+
+
+def dense_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number 1-D integer keys densely: ``(uniques, ids)`` with the same
+    values and dtypes as ``np.unique(keys, return_inverse=True)`` on int64
+    keys.
+
+    ``uniques`` are the distinct keys in ascending order and ``ids[i]`` is
+    the rank of ``keys[i]`` among them.  Non-negative keys whose range is
+    at most :data:`DENSE_RANGE_FACTOR` times the row count are ranked by a
+    presence count and its running sum, O(n + range); any other input goes
+    through the sort.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size:
+        lo, hi = int(keys.min()), int(keys.max())
+        if lo >= 0 and hi - lo < DENSE_RANGE_FACTOR * keys.size:
+            offsets = keys - lo if lo else keys
+            present = np.bincount(offsets, minlength=hi - lo + 1) > 0
+            rank = np.cumsum(present) - 1
+            return np.flatnonzero(present) + lo, rank[offsets]
+    return np.unique(keys, return_inverse=True)

@@ -194,3 +194,189 @@ def test_property_sum_bounds_contain_concrete_sum(pairs, seed):
     )
     iv = c.sum_interval()
     assert iv.lo <= float(concrete.sum()) <= iv.hi
+
+
+# ----------------------------------------------------------------------
+# Exactness as array identity
+# ----------------------------------------------------------------------
+class TestExactRepresentation:
+    def test_exact_shares_one_read_only_array(self):
+        v = np.array([1, 2, 3], dtype=np.int64)
+        c = IntervalColumn.exact(v)
+        assert c.hi is c.lo and c.is_exact
+        with pytest.raises(ValueError):
+            c.lo[0] = 7
+        with pytest.raises(ValueError):
+            c.hi += 1
+        v[0] = 9  # the caller's array stays writable
+        assert v.flags.writeable
+
+    def test_equal_bounds_collapse(self):
+        v = np.array([4, 5], dtype=np.int64)
+        c = IntervalColumn.from_bounds(v, v.copy())
+        assert c.hi is c.lo and c.refinable
+        d = IntervalColumn(v, v.copy(), refinable=False)
+        assert d.is_exact and not d.refinable
+
+
+# ----------------------------------------------------------------------
+# Property: every op equals the four-corner reference byte for byte
+# ----------------------------------------------------------------------
+class _Ref:
+    """The two-array, four-corner formulation every op must reproduce:
+    exactness is recomputed from the data, never carried."""
+
+    def __init__(self, lo, hi, refinable):
+        self.lo = np.asarray(lo, dtype=np.int64)
+        self.hi = np.asarray(hi, dtype=np.int64)
+        if bool((self.lo > self.hi).any()):
+            raise ExecutionError("interval with lo > hi")
+        self.refinable = refinable
+
+    @classmethod
+    def of(cls, col):
+        return cls(col.lo.copy(), col.hi.copy(), col.refinable)
+
+    @property
+    def is_exact(self):
+        return bool(np.array_equal(self.lo, self.hi))
+
+    def take(self, pos):
+        return _Ref(self.lo[pos], self.hi[pos], self.refinable)
+
+    def add(self, o):
+        return _Ref(self.lo + o.lo, self.hi + o.hi, self.refinable and o.refinable)
+
+    def sub(self, o):
+        return _Ref(self.lo - o.hi, self.hi - o.lo, self.refinable and o.refinable)
+
+    def neg(self):
+        return _Ref(-self.hi, -self.lo, self.refinable)
+
+    def mul(self, o):
+        p = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi]
+        lo = np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3]))
+        hi = np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3]))
+        exact_inputs = self.is_exact and o.is_exact
+        return _Ref(lo, hi, exact_inputs and self.refinable and o.refinable)
+
+    def floordiv(self, o):
+        p = [self.lo // o.lo, self.lo // o.hi, self.hi // o.lo, self.hi // o.hi]
+        return _Ref(np.minimum.reduce(p), np.maximum.reduce(p),
+                    self.is_exact and o.is_exact)
+
+    def add_scalar(self, v):
+        return _Ref(self.lo + v, self.hi + v, self.refinable)
+
+    def mul_scalar(self, v):
+        if v >= 0:
+            return _Ref(self.lo * v, self.hi * v, self.refinable)
+        return _Ref(self.hi * v, self.lo * v, self.refinable)
+
+
+def _run(fn):
+    try:
+        return fn()
+    except ExecutionError as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, ExecutionError):
+        assert isinstance(got, ExecutionError) and str(got) == str(want)
+        return
+    assert got.lo.dtype == got.hi.dtype == np.int64
+    assert got.lo.tobytes() == want.lo.tobytes()
+    assert got.hi.tobytes() == want.hi.tobytes()
+    assert got.is_exact == want.is_exact
+    assert (got.hi is got.lo) == want.is_exact
+    assert got.refinable == want.refinable
+
+
+_SMALL = st.integers(-1000, 1000)
+#: Wide enough that products wrap int64.
+_WIDE = st.integers(-(2**62), 2**62)
+
+
+@st.composite
+def _columns(draw, n, kind=None):
+    """An interval column of ``n`` rows: exact (shared or collapsed from two
+    equal arrays), or inexact with some zero-width rows."""
+    kind = kind or draw(st.sampled_from(["exact", "collapsed", "inexact"]))
+    values = st.one_of(_SMALL, _WIDE) if draw(st.booleans()) else _SMALL
+    lo = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64)
+    if kind == "exact":
+        return IntervalColumn.exact(lo)
+    if kind == "collapsed":
+        return IntervalColumn.from_bounds(lo, lo.copy())
+    widths = draw(st.lists(st.sampled_from([0, 0, 1, 7, 1000]),
+                           min_size=n, max_size=n))
+    return IntervalColumn.from_bounds(lo, lo + np.array(widths, dtype=np.int64))
+
+
+_KINDS = st.sampled_from(["exact", "collapsed", "inexact"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), ka=_KINDS, kb=_KINDS,
+       op=st.sampled_from(["add", "sub", "mul", "floordiv"]))
+def test_property_binary_ops_match_four_corner_reference(data, n, ka, kb, op):
+    a = data.draw(_columns(n, ka))
+    b = data.draw(_columns(n, kb))
+    if op == "floordiv":
+        nonzero = (b.lo > 0) | (b.hi < 0)
+        a, b = a.take(nonzero), b.take(nonzero)
+    ra, rb = _Ref.of(a), _Ref.of(b)
+    _assert_same(_run(lambda: getattr(a, op)(b)),
+                 _run(lambda: getattr(ra, op)(rb)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), kind=_KINDS,
+       value=st.one_of(_SMALL, _WIDE),
+       op=st.sampled_from(["neg", "add_scalar", "mul_scalar", "take_mask",
+                           "take_positions"]))
+def test_property_unary_ops_match_four_corner_reference(data, n, kind, value, op):
+    a = data.draw(_columns(n, kind))
+    ra = _Ref.of(a)
+    if op == "neg":
+        got, want = _run(a.neg), _run(ra.neg)
+    elif op in ("add_scalar", "mul_scalar"):
+        got = _run(lambda: getattr(a, op)(value))
+        want = _run(lambda: getattr(ra, op)(value))
+    else:
+        if op == "take_mask":
+            pos = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                              max_size=n)), dtype=bool)
+        else:
+            pos = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                              max_size=n if n else 0)),
+                           dtype=np.int64)
+        got, want = a.take(pos), ra.take(pos)
+    _assert_same(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       ops=st.lists(st.sampled_from(["add", "sub", "mul", "neg", "add_scalar",
+                                     "mul_scalar"]), min_size=1, max_size=6))
+def test_property_op_chains_match_four_corner_reference(data, n, ops):
+    """Results of results (exactness carried, not recomputed) stay equal."""
+    a = data.draw(_columns(n))
+    ra = _Ref.of(a)
+    for op in ops:
+        if op == "neg":
+            got, want = _run(a.neg), _run(ra.neg)
+        elif op in ("add_scalar", "mul_scalar"):
+            v = data.draw(_SMALL)
+            got = _run(lambda: getattr(a, op)(v))
+            want = _run(lambda: getattr(ra, op)(v))
+        else:
+            b = data.draw(_columns(n))
+            rb = _Ref.of(b)
+            got = _run(lambda: getattr(a, op)(b))
+            want = _run(lambda: getattr(ra, op)(rb))
+        _assert_same(got, want)
+        if isinstance(got, ExecutionError):
+            return
+        a, ra = got, want

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BitWidthError
 from repro.util import (
+    DENSE_RANGE_FACTOR,
     as_index_array,
     bits_for_range,
     check_bits,
+    dense_ids,
     format_bytes,
     format_seconds,
     mask,
@@ -75,3 +79,49 @@ class TestArrays:
     def test_as_index_array_rejects_2d(self):
         with pytest.raises(ValueError):
             as_index_array(np.zeros((2, 2)))
+
+
+def _assert_like_unique(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    uniques, ids = dense_ids(keys)
+    want_uniques, want_ids = np.unique(keys, return_inverse=True)
+    assert uniques.dtype == want_uniques.dtype and ids.dtype == want_ids.dtype
+    assert np.array_equal(uniques, want_uniques)
+    assert ids.shape == keys.shape and np.array_equal(ids, want_ids)
+
+
+class TestDenseIds:
+    """``dense_ids`` is ``np.unique(keys, return_inverse=True)``."""
+
+    @pytest.mark.parametrize("keys", [
+        [], [5], [0], [3, 3, 3, 3], [7, 0, 7, 2, 0],
+        [1, 10**9, 5, 10**9],  # sparse
+        [2**62, 2**62 - 1, 2**62, 0],  # near the composite-key limit
+        [-3, 4, -3, 0],  # negative
+        [-(2**62), 2**62],
+    ])
+    def test_cases(self, keys):
+        _assert_like_unique(keys)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_around_the_counting_threshold(self, extra, monkeypatch):
+        n = 50
+        span = DENSE_RANGE_FACTOR * n + extra  # keys cover [100, 100 + span)
+        keys = 100 + np.linspace(0, span - 1, n).astype(np.int64)
+        _assert_like_unique(keys)
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        dense_ids(keys)
+        assert len(sorts) == (extra > 0)  # only the wider range is sorted
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.one_of(
+    st.lists(st.integers(0, 40), max_size=60),
+    st.lists(st.integers(-(2**62), 2**62), max_size=20),
+    st.lists(st.integers(2**62 - 30, 2**62), max_size=30),
+))
+def test_property_dense_ids_equals_unique(keys):
+    _assert_like_unique(keys)
