@@ -111,14 +111,12 @@ class _ExecState:
         self.pair_group_keys: dict[str, np.ndarray] = {}
         self._pair_rows: tuple[np.ndarray, np.ndarray] | None = None
         self._pair_values: dict[str, np.ndarray] = {}
-        # Serve-layer injection: id(physical op) -> precomputed scan hits
-        # from a shared cooperative pass (wall-clock only; charges and
-        # results stay byte-identical to a solo run).
-        self.scan_hits: dict[int, np.ndarray] | None = None
-        # Same idea for theta joins: id(ApproxThetaJoin) -> precomputed
-        # (starts, stops, order, order_key) from a fused sweep over the
-        # shared right side.
-        self.theta_runs: dict[int, tuple] | None = None
+        # Serve-layer injection for the plan's opening operator: scan hits
+        # from a shared cooperative pass, or theta (starts, stops, order,
+        # order_key) runs from a fused sweep over the shared right side
+        # (wall-clock only; charges and results stay byte-identical).
+        self.scan_hits: np.ndarray | None = None
+        self.theta_runs: tuple | None = None
         # ArExecutor._certainty's memo: (candidate set, its certain mask).
         self.certainty: tuple[Approximation, np.ndarray] | None = None
 
@@ -226,8 +224,8 @@ class ArExecutor:
         timeline: Timeline | None = None,
         *,
         approximate_only: bool = False,
-        scan_hits: dict[int, np.ndarray] | None = None,
-        theta_runs: dict[int, tuple] | None = None,
+        scan_hits: np.ndarray | None = None,
+        theta_runs: tuple | None = None,
     ) -> Result:
         """Execute a plan; with ``approximate_only`` stop before shipping.
 
@@ -235,14 +233,16 @@ class ArExecutor:
         just the approximation subplan yields a fast approximate answer
         "without wasting resources".
 
-        ``scan_hits`` maps ``id(op)`` of an :class:`ApproxScanSelect` to
-        hit positions a shared cooperative pass already computed (the
-        serve layer's fused batches).  It short-circuits only the NumPy
+        ``scan_hits`` are hit positions a shared cooperative pass already
+        computed for the plan's opening :class:`ApproxScanSelect` (the
+        serve layer's fused batches).  They short-circuit only the NumPy
         evaluation; the operator's modeled charge and emitted candidates
         are byte-identical to the solo scan.  ``theta_runs`` is the theta
-        twin: ``id(op)`` of an :class:`ApproxThetaJoin` to the
-        ``(starts, stops, order, order_key)`` run bounds of a fused sweep
-        over the shared right side.
+        twin: the ``(starts, stops, order, order_key)`` run bounds of a
+        fused sweep over the shared right side, for an opening
+        :class:`ApproxThetaJoin`.  Both key on the opening operator, not
+        on an object identity, so a re-planned plan with the same opening
+        (an avg-lowered delta base) consumes them too.
         """
         timeline = timeline if timeline is not None else Timeline()
         state = _ExecState(plan.query, self._catalog, self._machine)
@@ -254,6 +254,7 @@ class ArExecutor:
             if approximate_only and op.phase == "refine":
                 break
             self._dispatch(op, state)
+            state.scan_hits = state.theta_runs = None  # opening op only
 
         if approximate_only:
             if state.pairs is not None:
@@ -292,14 +293,9 @@ class ArExecutor:
             n = len(self._catalog.table(state.query.table))
             state.candidates = Approximation(ids=np.arange(n, dtype=np.int64))
         elif isinstance(op, ApproxScanSelect):
-            hits = (
-                state.scan_hits.get(id(op))
-                if state.scan_hits is not None
-                else None
-            )
             state.candidates = select_approx(
                 machine.gpu, tl, state.bwd(op.column), op.column,
-                op.predicate.vrange, precomputed_hits=hits,
+                op.predicate.vrange, precomputed_hits=state.scan_hits,
             )
         elif isinstance(op, ApproxProbeSelect):
             assert state.candidates is not None
@@ -347,18 +343,13 @@ class ArExecutor:
             left_ids = (
                 state.candidates.ids if state.candidates is not None else None
             )
-            runs = (
-                state.theta_runs.get(id(op))
-                if state.theta_runs is not None
-                else None
-            )
             state.pairs = theta_join_approx(
                 machine.gpu, tl,
                 self._theta_bwd(state.query.table, tj.left_column),
                 self._theta_bwd(tj.right_table, tj.right_column),
                 self._theta_of(tj),
                 strategy=tj.strategy, emit=tj.emit, left_ids=left_ids,
-                precomputed_runs=runs,
+                precomputed_runs=state.theta_runs,
             )
             # The free approximate answer reports the device-side candidate
             # pair count (the old Session.theta_join contract).

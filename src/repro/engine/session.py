@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from ..device.machine import Machine
 from ..device.timeline import Timeline
 from ..errors import PlanError
+from ..ingest.union import ContributionCache, delta_tables, run_with_delta
 from ..obs import trace as obs_trace
 from ..opt.plan_cache import PlanCache
 from ..opt.planner import with_fallback
@@ -106,9 +107,10 @@ class Session(QueryFront):
         self.catalog = Catalog()
         self._classic = ClassicExecutor(self.catalog, self.machine.cpu)
         self._ar = ArExecutor(self.catalog, self.machine)
-        #: Epoch-keyed physical-plan cache for the solo ``run()`` path
-        #: (the serve scheduler keeps its own).
+        #: Epoch-keyed physical plans and memoized delta contributions;
+        #: solo runs and the serve scheduler share both.
         self._plan_cache = PlanCache()
+        self._delta_cache = ContributionCache()
 
     # ------------------------------------------------------------------
     # DDL / loading
@@ -265,21 +267,26 @@ class Session(QueryFront):
         predicate_order: str,
         optimizer: str,
         timeline: Timeline | None,
+        plan=None,
+        scan_hits=None,
+        theta_runs=None,
     ) -> Result:
-        qt = obs_trace.ACTIVE
-        if self.catalog.tables_with_delta():
-            from ..ingest.union import delta_tables, run_with_delta
+        """The one query path, solo and served alike.
 
-            if delta_tables(query, self.catalog):
-                return run_with_delta(
-                    self, query, mode=mode, pushdown=pushdown,
-                    predicate_order=predicate_order, optimizer=optimizer,
-                    timeline=timeline,
-                    plan_factory=lambda q: self.plan_for(
-                        q, pushdown=pushdown,
-                        predicate_order=predicate_order, optimizer=optimizer,
-                    ),
-                )
+        The serve scheduler passes the member's ``plan`` (already looked
+        up in :attr:`_plan_cache`) and a fused batch's shared
+        ``scan_hits`` / ``theta_runs`` for the plan's opening operator.
+        """
+        qt = obs_trace.ACTIVE
+        if self.catalog.tables_with_delta() and delta_tables(
+            query, self.catalog
+        ):
+            return run_with_delta(
+                self, query, mode=mode, pushdown=pushdown,
+                predicate_order=predicate_order, optimizer=optimizer,
+                timeline=timeline, plan=plan, scan_hits=scan_hits,
+                theta_runs=theta_runs,
+            )
         if mode == "classic":
             if qt is None:
                 return self._classic.run(query, timeline)
@@ -287,29 +294,40 @@ class Session(QueryFront):
                 result = self._classic.run(query, timeline)
                 rec.modeled = result.timeline.total_seconds()
             return result
+        if plan is not None:
+            pass
+        elif qt is None:
+            plan = self.plan_for(
+                query, pushdown=pushdown,
+                predicate_order=predicate_order, optimizer=optimizer,
+            )
+        else:
+            hits_before = self._plan_cache.hits
+            with qt.span("plan", optimizer=optimizer) as rec:
+                plan = self.plan_for(
+                    query, pushdown=pushdown,
+                    predicate_order=predicate_order, optimizer=optimizer,
+                )
+                rec.args["cached"] = self._plan_cache.hits > hits_before
+            if qt.plan is None and getattr(plan, "estimated_spans", None):
+                qt.plan = plan
         if qt is None:
-            plan = self.plan_for(
-                query, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-            )
             return self._ar.run(
-                plan, timeline, approximate_only=(mode == "approximate")
+                plan, timeline, approximate_only=(mode == "approximate"),
+                scan_hits=scan_hits, theta_runs=theta_runs,
             )
-        hits_before = self._plan_cache.hits
-        with qt.span("plan", optimizer=optimizer) as rec:
-            plan = self.plan_for(
-                query, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=optimizer,
-            )
-            rec.args["cached"] = self._plan_cache.hits > hits_before
-        if qt.plan is None and getattr(plan, "estimated_spans", None):
-            qt.plan = plan
         with qt.span("execute.ar", mode=mode) as rec:
             result = self._ar.run(
-                plan, timeline, approximate_only=(mode == "approximate")
+                plan, timeline, approximate_only=(mode == "approximate"),
+                scan_hits=scan_hits, theta_runs=theta_runs,
             )
             rec.modeled = result.timeline.total_seconds()
         return result
+
+    def _plan(self, query: Query, *, mode: str, **options):
+        """:meth:`plan_for` under the planning hook both sessions share
+        with the serve scheduler (an A&R plan does not depend on mode)."""
+        return self.plan_for(query, **options)
 
     def plan_for(
         self,

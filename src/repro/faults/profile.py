@@ -96,7 +96,10 @@ class FaultInjector:
         self.profile = profile
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        #: Attempt counters of the current query clock's fragments only:
+        #: ``(clock, shard) -> attempts``, dropped when a new clock starts.
         self._attempts: dict[tuple, int] = {}
+        self._clock = None
         #: Imperatively crashed / restored shards (layered over the
         #: profile's static ``crash_shards``).
         self._down: set[int] = set(profile.crash_shards)
@@ -132,9 +135,14 @@ class FaultInjector:
 
         ``key`` identifies the fragment across retries (the executor uses
         a per-query sequence number plus the shard index); each call
-        advances that fragment's attempt counter.
+        advances that fragment's attempt counter.  A key with a new
+        sequence number starts a new query, whose predecessors' counters
+        are never read again and are dropped.
         """
         profile = self.profile
+        if key[0] != self._clock:
+            self._clock = key[0]
+            self._attempts.clear()
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
         if shard_index in self._down:

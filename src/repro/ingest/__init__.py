@@ -15,7 +15,7 @@ up front, and bumps the catalog epoch that plan caches key on.
 """
 
 from .delta import DeltaStore
-from .union import apply_delta, delta_tables, needs_solo_delta, run_with_delta
+from .union import apply_delta, delta_tables, run_with_delta
 from .compact import compact_table
 
 __all__ = [
@@ -23,6 +23,5 @@ __all__ = [
     "apply_delta",
     "compact_table",
     "delta_tables",
-    "needs_solo_delta",
     "run_with_delta",
 ]

@@ -23,8 +23,9 @@ base and the contributions are partials over disjoint rows and the shared
 combiner of :mod:`repro.engine.combine` — the one the shard merge uses —
 reproduces a bulk run over base+delta bit-for-bit; pair sets first shift
 into union positions by each contribution's offsets.  How the base runs is
-a parameter (:func:`union_with_delta`): the single-device session and the
-sharded coordinator plug in their own.
+a parameter of :func:`apply_delta`: the single-device session
+(:func:`run_with_delta`) and the sharded coordinator plug in their own,
+and each keeps one :class:`ContributionCache` for solo and served runs.
 """
 
 from __future__ import annotations
@@ -92,27 +93,8 @@ def delta_tables(query: Query, catalog: Catalog) -> dict:
     return out
 
 
-def needs_solo_delta(query: Query, catalog: Catalog, mode: str = "ar") -> bool:
-    """True when a fused/post-hoc merge cannot absorb this query's delta.
-
-    ``avg`` finals don't merge (the partials are gone), and ``min``/``max``
-    can raise an empty-input error on the base slice even though delta rows
-    exist — only a solo :func:`run_with_delta` absorbs that into the merged
-    answer.  In the exact modes such queries must take the solo path, which
-    lowers avg into sum/count partials and catches the empty base.
-    """
-    if mode == "approximate":
-        return False  # interval-only adjustment needs no partials
-    if not any(a.func in ("avg", "min", "max") for a in query.aggregates):
-        return False
-    try:
-        return bool(delta_tables(query, catalog))
-    except ExecutionError:
-        return True  # dim-delta rejection: surface it on the solo path
-
-
 # ----------------------------------------------------------------------
-# Contribution memoization (serve layer)
+# Contribution memoization (one per session)
 # ----------------------------------------------------------------------
 class ContributionCache:
     """Memoizes contribution parts per (query, epoch, delta versions).
@@ -123,9 +105,10 @@ class ContributionCache:
     *modeled*, hence deterministic.  A hit replays the recorded
     ``ingest.delta.*`` spans onto the caller's timeline, so cached and
     uncached runs stay byte-identical; only wall-clock work is saved.
-    Serving keeps one of these per scheduler: a dashboard-style workload
-    re-running a fixed query panel between writes pays the classic
-    evaluation once per (query, delta state) instead of once per read.
+    Each session keeps one of these for its solo and served runs: a
+    dashboard-style workload re-running a fixed query panel between writes
+    pays the classic evaluation once per (query, delta state) instead of
+    once per read.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
@@ -190,49 +173,47 @@ def run_with_delta(
     predicate_order: str = "query",
     optimizer: str = "heuristic",
     timeline: Timeline | None = None,
-    plan_factory: Callable[[Query], object] | None = None,
-    contribution_cache: ContributionCache | None = None,
+    plan=None,
+    scan_hits=None,
+    theta_runs=None,
 ) -> Result:
-    """Run ``query`` over base+delta: base exactly as today, delta exact.
+    """Run ``query`` over base+delta on a single-device session.
 
-    ``plan_factory`` (serve layer) maps a logical query to a physical plan
-    — the plan-cache hook; when ``None`` the rewriter is called directly.
-    ``contribution_cache`` (also the serve layer) memoizes the delta
-    contribution runs per (query, epoch, delta version).
+    For a query :func:`delta_tables` finds pending rows for.  The base
+    runs exactly as a settled run would, through the session's plan cache;
+    ``plan`` is ``query``'s own plan when the caller already holds it, and
+    ``scan_hits`` / ``theta_runs`` are a fused batch's shared inputs for
+    the base plan's opening operator.  Contributions go through the
+    session's contribution cache.
     """
-    from ..plan.rewriter import rewrite_to_ar_plan
-
     timeline = timeline if timeline is not None else Timeline()
-    deltas = delta_tables(query, session.catalog)
-    if not deltas:
-        return session.query(
-            query, mode=mode, pushdown=pushdown,
-            predicate_order=predicate_order, optimizer=optimizer,
-            timeline=timeline,
-        )
 
     def run_base(base_query: Query) -> Result:
         if mode == "classic":
             return session._classic.run(base_query, timeline)
-        if plan_factory is not None:
-            plan = plan_factory(base_query)
-        else:
-            plan = rewrite_to_ar_plan(
-                base_query, session.catalog, pushdown=pushdown,
+        # An avg-lowered base re-plans; lowering rewrites aggregates only,
+        # so its opening operator (from WHERE / the theta spec) is the one
+        # the shared inputs were carved for.
+        base_plan = (
+            plan if plan is not None and base_query is query
+            else session.plan_for(
+                base_query, pushdown=pushdown,
                 predicate_order=predicate_order, optimizer=optimizer,
             )
+        )
         return session._ar.run(
-            plan, timeline, approximate_only=(mode == "approximate")
+            base_plan, timeline, approximate_only=(mode == "approximate"),
+            scan_hits=scan_hits, theta_runs=theta_runs,
         )
 
-    return union_with_delta(
-        query, deltas, run_base, catalog=session.catalog,
-        cpu=session.machine.cpu, mode=mode, timeline=timeline,
-        contribution_cache=contribution_cache,
+    return apply_delta(
+        query, delta_tables(query, session.catalog), run_base,
+        catalog=session.catalog, cpu=session.machine.cpu, mode=mode,
+        timeline=timeline, contribution_cache=session._delta_cache,
     )
 
 
-def union_with_delta(
+def apply_delta(
     query: Query,
     deltas: dict,
     run_base: Callable[[Query], Result],
@@ -241,9 +222,9 @@ def union_with_delta(
     cpu,
     mode: str,
     timeline: Timeline,
-    contribution_cache: ContributionCache | None = None,
+    contribution_cache: ContributionCache,
 ) -> Result:
-    """The union itself, whatever runs the base.
+    """Fold pending delta rows into the answer, whatever runs the base.
 
     ``run_base`` answers the base query — ``avg`` lowered into sum/count
     partials in the exact modes — billing onto ``timeline``; the
@@ -257,45 +238,8 @@ def union_with_delta(
         base = _Part(run_base(base_query), None, 0, 0)
     except EmptyInputError as exc:
         base = _Part(None, str(exc), 0, 0)
-    run_parts = (
-        _contribution_parts if contribution_cache is None
-        else contribution_cache.parts
-    )
-    contribs = run_parts(catalog, cpu, query, deltas, timeline)
+    contribs = contribution_cache.parts(catalog, cpu, query, deltas, timeline)
     return _merge(query, mode, base, contribs, timeline, cpu)
-
-
-def apply_delta(
-    catalog: Catalog,
-    cpu,
-    query: Query,
-    base_result: Result,
-    *,
-    mode: str = "ar",
-    deltas: dict | None = None,
-    contribution_cache: ContributionCache | None = None,
-) -> Result:
-    """Fold pending delta into a base result computed without it.
-
-    The post-hoc path for the serve layer's fused batches: the base ran the
-    *original* query (finals), so exact-mode ``avg`` is not mergeable here
-    — callers gate on :func:`needs_solo_delta` and send those solo.
-    Contribution spans bill onto ``base_result``'s own timeline.
-    """
-    deltas = delta_tables(query, catalog) if deltas is None else deltas
-    if not deltas:
-        return base_result
-    if mode != "approximate" and any(
-        a.func == "avg" for a in query.aggregates
-    ):
-        raise ExecutionError(
-            "avg with pending delta rows needs a solo delta-union run"
-        )
-    return union_with_delta(
-        query, deltas, lambda _query: base_result, catalog=catalog, cpu=cpu,
-        mode=mode, timeline=base_result.timeline,
-        contribution_cache=contribution_cache,
-    )
 
 
 # ----------------------------------------------------------------------

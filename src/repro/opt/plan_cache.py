@@ -1,9 +1,11 @@
 """An epoch-keyed physical-plan cache (PR 9).
 
-The serve scheduler re-plans every batch member; on sub-millisecond
-queries the ~0.4 ms rewrite dominates.  Logical :class:`Query` objects are
-frozen dataclasses (hashable), so ``(query, pushdown, predicate_order,
-optimizer, catalog epoch)`` is a complete plan fingerprint: everything the
+Each session owns one; its solo runs and the serve scheduler's batch
+members plan through it, so a query is rewritten once per catalog epoch
+(on sub-millisecond queries the ~0.4 ms rewrite dominates).  Logical
+:class:`Query` objects are frozen dataclasses (hashable), so ``(query,
+pushdown, predicate_order, optimizer, catalog epoch)`` — plus the run mode
+for a sharded plan — is a complete plan fingerprint: everything the
 rewriter reads that can change between calls is either in the key or
 versioned by the epoch, which every successful compaction bumps.  Appends
 do *not* bump the epoch — the base plan stays valid while delta rows are
@@ -19,9 +21,8 @@ from typing import Callable
 class PlanCache:
     """A small LRU over rewritten physical plans.
 
-    Cached plan objects are returned by reference — callers rely on this
-    (the serve layer keys cooperative-scan injection on ``id(plan.ops[0])``,
-    so a repeated query reuses the identical op objects).
+    Cached plan objects are returned by reference and must not be mutated
+    by their callers.
     """
 
     def __init__(self, maxsize: int = 256) -> None:

@@ -19,18 +19,25 @@ Three cooperating pieces:
   sized with the free code histograms) must fit the GPU pool's free
   bytes next to its batch mates, or the batch splits.
 
-* :class:`Scheduler` — executes batches.  Same-column selection batches
-  run ONE cooperative pass (:func:`~repro.engine.cooperative.
-  cooperative_scan_hits` over the column's memoized sorted-code view) and
-  carve each query's candidate positions out of it; the positions are
-  injected back into the unchanged per-query kernel path
+* :class:`Scheduler` — admits, forms batches and runs the shared pass;
+  it never executes a query itself.  Every member runs through the
+  session's own ``_run_query`` (the path a solo ``run()`` takes, with the
+  session's one plan cache and one delta contribution cache), given its
+  plan and, in a fused batch, the shared inputs for the plan's opening
+  operator.  Same-column selection batches run ONE cooperative pass
+  (:func:`~repro.engine.cooperative.cooperative_scan_hits` over the
+  column's memoized sorted-code view) and carve each query's candidate
+  positions out of it; the positions reach the unchanged kernel
   (``scan_code_range(precomputed_hits=...)``), so every query's Timeline
   and Result are **byte-identical to its solo run** — batching is a pure
   wall-clock optimization, the charge-neutrality invariant of PRs 1–4
-  extended to multi-query execution.  Theta batches sharing a right side
-  run back to back so the right column's memoized sort permutations and
-  decoded views are built once and stay hot (which, under an evicting
-  view budget, is exactly what segment-granular eviction protects).
+  extended to multi-query execution.  Pending delta rows fold in on that
+  same path, so members with delta in flight fuse too.  Theta batches
+  sharing a right side carve their candidate runs out of one fused sweep
+  and run back to back, so the right column's memoized sort permutations
+  and decoded views are built once and stay hot (which, under an
+  evicting view budget, is exactly what segment-granular eviction
+  protects).
 
 Everything is cooperative (no threads): execution happens when a handle's
 ``result()`` is awaited, when admission forces a drain, or when
@@ -40,6 +47,7 @@ Everything is cooperative (no threads): execution happens when a handle's
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -59,7 +67,7 @@ from ..errors import AdmissionError, PlanError, ReproError
 from ..obs import trace as obs_trace
 from ..plan.logical import Query
 from ..plan.physical import ApproxScanSelect, ApproxThetaJoin
-from ..plan.rewriter import estimated_selectivity, rewrite_to_ar_plan
+from ..plan.rewriter import estimated_selectivity
 from .handles import CancelledError, QueryHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,10 +172,6 @@ class ServeStats:
     #: estimated cooperative pass was dearer than per-member scans.
     cost_gated_batches: int = 0
     cost_gated_solo: int = 0
-    #: Fault-layer visibility (PR 7 follow-on): retry/hedge totals summed
-    #: off completed results, and the sharded executor's circuit-breaker
-    #: state refreshed after every batch.  All zeros/empty on a
-    #: single-device scheduler.
     #: Streaming-ingestion counters (PR 9).
     writes: int = 0
     write_rows: int = 0
@@ -178,10 +182,15 @@ class ServeStats:
     #: Reads that waited on a write or compaction.  Structurally zero —
     #: reads never consult write intents — kept as an observable pin.
     reads_blocked: int = 0
-    #: Epoch-keyed plan-cache outcomes (PR 9): mirrors of the scheduler's
-    #: :class:`~repro.opt.plan_cache.PlanCache` counters.
+    #: Outcomes of this scheduler's own lookups in the session's
+    #: epoch-keyed :class:`~repro.opt.plan_cache.PlanCache` (solo runs on
+    #: the same session are not counted).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
+    #: Fault-layer visibility (PR 7 follow-on): retry/hedge totals summed
+    #: off completed results, and the sharded executor's circuit-breaker
+    #: state refreshed after every batch.  All zeros/empty on a
+    #: single-device scheduler.
     retries: int = 0
     hedged_fragments: int = 0
     breaker_open_events: int = 0
@@ -293,17 +302,12 @@ class Scheduler:
         self._closed = False
         #: Most recent optimizer decisions (cost gate picks), newest last.
         self.recent_decisions = deque(maxlen=32)
-        from ..opt.plan_cache import PlanCache
-
-        #: Physical plans keyed on (query, options, catalog epoch); a
-        #: compaction bumps the epoch and naturally invalidates entries.
-        self._plan_cache = PlanCache()
-        from ..ingest.union import ContributionCache
-
-        #: Delta contribution runs keyed on (query, epoch, delta version):
-        #: a fixed query panel re-served between writes evaluates its
-        #: delta slice once, then replays the recorded modeled spans.
-        self._delta_cache = ContributionCache()
+        #: What members plan and run under: serving's "cost" is flip-safe,
+        #: falling back to the heuristic plan like "auto".
+        self._optimizer = (
+            "auto" if self.policy.optimizer == "cost"
+            else self.policy.optimizer
+        )
         #: Tables whose compaction is in progress: writes arriving under
         #: an intent defer until it clears.  Reads never look here.
         self._write_intents: set[str] = set()
@@ -437,29 +441,20 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Plan cache (PR 9)
     # ------------------------------------------------------------------
-    def _plan_for(self, query: Query, pushdown: bool, predicate_order: str):
-        """The member's physical plan, cached on (query, options, epoch).
-
-        Under ``optimizer="cost"`` a :class:`PlanError` (the cost model
-        needs histogram facts some queries lack) falls back to the
-        heuristic plan instead of failing the query — the flip-safety
-        half of making cost the serve default.
-        """
-        from ..opt.planner import with_fallback
-
-        catalog = self.session.catalog
-        optimizer = self.policy.optimizer
-        key = (query, pushdown, predicate_order, optimizer, catalog.epoch)
-        # Serving's "cost" is flip-safe: it falls back like "auto".
-        plan = self._plan_cache.get(key, lambda: with_fallback(
-            "auto" if optimizer == "cost" else optimizer,
-            lambda opt: rewrite_to_ar_plan(
-                query, catalog, pushdown=pushdown,
-                predicate_order=predicate_order, optimizer=opt,
-            ),
-        ))
-        self.stats.plan_cache_hits = self._plan_cache.hits
-        self.stats.plan_cache_misses = self._plan_cache.misses
+    def _plan_for(self, pending: _Pending):
+        """The member's plan from the session's plan cache (keyed on query,
+        options and catalog epoch), counting this scheduler's hits."""
+        cache = self.session._plan_cache
+        hits = cache.hits
+        plan = self.session._plan(
+            pending.query, mode=pending.mode, pushdown=pending.pushdown,
+            predicate_order=pending.predicate_order,
+            optimizer=self._optimizer,
+        )
+        if cache.hits > hits:
+            self.stats.plan_cache_hits += 1
+        else:
+            self.stats.plan_cache_misses += 1
         return plan
 
     # ------------------------------------------------------------------
@@ -491,11 +486,10 @@ class Scheduler:
         self._closed = True
         while self._queue:
             pending = self._queue._items.popleft()
-            pending.handle._fail(CancelledError(
+            self._fail(pending, CancelledError(
                 f"query #{pending.handle.seq} never ran: the scheduler "
                 "was closed before its batch executed"
             ))
-            self.stats.failed += 1
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -544,12 +538,11 @@ class Scheduler:
             pending = self._queue._items.popleft()
             waited = self.stats.batches - pending.enqueued_batch
             if waited >= timeout:
-                pending.handle._fail(AdmissionError(
+                self._fail(pending, AdmissionError(
                     f"query #{pending.handle.seq} waited {waited} batches "
                     f"without being admitted (timeout: {timeout})"
                 ))
                 self.stats.expired += 1
-                self.stats.failed += 1
             else:
                 survivors.append(pending)
         self._queue._items = survivors
@@ -619,29 +612,12 @@ class Scheduler:
             self.stats.memory_splits += 1
         for pending in batch:
             pending.handle._begin()
-        if self.session.catalog.tables_with_delta():
-            # Members whose delta cannot be folded post-hoc (exact-mode
-            # avg/min/max) need the solo delta-union run; peel them out.
-            from ..ingest.union import needs_solo_delta
-
-            keep: list[_Pending] = []
-            for pending in batch:
-                if needs_solo_delta(
-                    pending.query, self.session.catalog, pending.mode
-                ):
-                    self._run_solo(pending)
-                else:
-                    keep.append(pending)
-            batch = keep
-            if not batch:
-                self._maybe_compact()
-                return
         kind = batch[0].group[0][0]
         if kind == "scan" and len(batch) > 1 and batch[0].mode in ("ar", "approximate"):
             if self.policy.optimizer == "cost" and not self._gate_allows_fuse(batch):
                 self.stats.cost_gated_solo += 1
                 for pending in batch:
-                    self._run_solo(pending)
+                    self._run_member(pending)
             else:
                 self._run_fused_scan_batch(batch)
         elif kind == "theta" and len(batch) > 1 and batch[0].mode in ("ar", "approximate"):
@@ -651,7 +627,7 @@ class Scheduler:
             if kind == "theta" and len(batch) > 1:
                 self.stats.shared_right_batches += 1
             for pending in batch:
-                self._run_solo(pending)
+                self._run_member(pending)
         self._maybe_compact()
 
     def _gate_allows_fuse(self, batch: list[_Pending]) -> bool:
@@ -745,12 +721,13 @@ class Scheduler:
             m.counter(f"serve.{name}").value = getattr(s, name)
         m.gauge("serve.queue.depth").set(len(self._queue))
         m.gauge("serve.largest_batch").set(s.largest_batch)
-        m.counter("plan_cache.hits").value = self._plan_cache.hits
-        m.counter("plan_cache.misses").value = self._plan_cache.misses
-        m.gauge("plan_cache.hit_rate").set(self._plan_cache.hit_rate)
-        m.counter("delta_cache.hits").value = self._delta_cache.hits
-        m.counter("delta_cache.misses").value = self._delta_cache.misses
-        m.gauge("delta_cache.hit_rate").set(self._delta_cache.hit_rate)
+        m.counter("plan_cache.hits").value = s.plan_cache_hits
+        m.counter("plan_cache.misses").value = s.plan_cache_misses
+        m.gauge("plan_cache.hit_rate").set(s.plan_cache_hit_rate)
+        delta_cache = self.session._delta_cache
+        m.counter("delta_cache.hits").value = delta_cache.hits
+        m.counter("delta_cache.misses").value = delta_cache.misses
+        m.gauge("delta_cache.hit_rate").set(delta_cache.hit_rate)
         catalog = self.session.catalog
         m.gauge("ingest.delta.tables").set(len(catalog.tables_with_delta()))
         for table in catalog.tables_with_delta():
@@ -775,119 +752,59 @@ class Scheduler:
         if tracer is not None and getattr(plan, "estimated_spans", None):
             tracer.feedback.observe(plan, result.timeline)
 
-    def _run_solo(self, pending: _Pending) -> None:
-        qt = obs_trace.ACTIVE
-        if qt is None:
+    def _fail(self, pending: _Pending, exc: Exception) -> None:
+        pending.handle._fail(exc)
+        self.stats.failed += 1
+
+    def _plan_members(self, batch: list[_Pending]) -> list[tuple]:
+        """``(pending, plan)`` for every member whose plan lookup succeeds;
+        the others fail now."""
+        planned = []
+        for pending in batch:
             try:
-                result = self._execute_solo(pending)
+                planned.append((pending, self._plan_for(pending)))
             except ReproError as exc:
-                pending.handle._fail(exc)
-                self.stats.failed += 1
-                return
-            self._note_result(pending, result)
-            return
-        with qt.span(
-            f"query#{pending.handle.seq}", track="scheduler",
-            mode=pending.mode, kind="solo",
-        ) as rec:
-            try:
-                result = self._execute_solo(pending)
-            except ReproError as exc:
-                rec.args["error"] = type(exc).__name__
-                pending.handle._fail(exc)
-                self.stats.failed += 1
-                return
-            rec.modeled = result.timeline.total_seconds()
-            qt.add_timeline(result.timeline)
-        self._note_result(pending, result)
+                self._fail(pending, exc)
+        return planned
 
-    def _execute_solo(self, pending: _Pending):
-        """One member, no fusing — through the plan cache where possible.
+    def _run_member(self, pending: _Pending, plan=None, **shared):
+        """Run one member on the session's query path.
 
-        Classic mode and sessions without an A&R executor (the sharded
-        session) go through ``session.query`` unchanged; those paths have
-        no rewritten plan to cache.
+        ``plan`` is the member's plan when the batch already looked it up
+        (classic members need none); ``shared`` holds a fused batch's
+        carved inputs for the plan's opening operator (``scan_hits`` /
+        ``theta_runs``).  Returns the Result, or None on a captured
+        failure, so the fused paths can read batch stats off it.
         """
-        session = self.session
-        if pending.mode == "classic" or not hasattr(session, "_ar"):
-            return session.query(
-                pending.query, mode=pending.mode, pushdown=pending.pushdown,
-                predicate_order=pending.predicate_order,
-                optimizer=self.policy.optimizer,
-            )
-        if session.catalog.tables_with_delta():
-            from ..ingest.union import delta_tables, run_with_delta
-
-            if delta_tables(pending.query, session.catalog):
-                return run_with_delta(
-                    session, pending.query, mode=pending.mode,
-                    pushdown=pending.pushdown,
-                    predicate_order=pending.predicate_order,
-                    optimizer=self.policy.optimizer,
-                    plan_factory=lambda q: self._plan_for(
-                        q, pending.pushdown, pending.predicate_order
-                    ),
-                    contribution_cache=self._delta_cache,
-                )
-        plan = self._plan_for(
-            pending.query, pending.pushdown, pending.predicate_order
-        )
-        result = session._ar.run(
-            plan, approximate_only=(pending.mode == "approximate")
-        )
-        self._observe_feedback(plan, result)
-        return result
-
-    def _execute_plan(self, pending: _Pending, plan, scan_hits=None,
-                      theta_runs=None):
-        """Run one member's plan with its carved inputs, then fold pending
-        delta rows into the base result computed without them (solo-only
-        shapes were peeled before the batch ran)."""
-        result = self.session._ar.run(
-            plan,
-            approximate_only=(pending.mode == "approximate"),
-            scan_hits=scan_hits,
-            theta_runs=theta_runs,
-        )
-        catalog = self.session.catalog
-        if not catalog.tables_with_delta():
-            return result
-        from ..ingest.union import apply_delta
-
-        return apply_delta(
-            catalog, self.session.machine.cpu, pending.query, result,
-            mode=pending.mode, contribution_cache=self._delta_cache,
-        )
-
-    def _run_with_plan(self, pending: _Pending, plan, scan_hits=None,
-                       theta_runs=None):
-        """Execute an already-rewritten plan for one pending query.
-
-        Returns the :class:`Result` on success, None on a captured
-        failure — so the fused path can read batch stats off it.
-        """
+        fused = any(v is not None for v in shared.values())
         qt = obs_trace.ACTIVE
         span = (
             qt.span(
                 f"query#{pending.handle.seq}", track="scheduler",
                 mode=pending.mode,
-                kind="fused" if scan_hits or theta_runs else "member",
+                kind="fused" if fused else "solo" if plan is None else "member",
             )
-            if qt is not None else None
+            if qt is not None else nullcontext()
         )
-        try:
-            result = self._execute_plan(pending, plan, scan_hits, theta_runs)
-        except ReproError as exc:
-            if span is not None:
-                span.record.args["error"] = type(exc).__name__
-                span.__exit__(None, None, None)
-            pending.handle._fail(exc)
-            self.stats.failed += 1
-            return None
-        if span is not None:
-            span.record.modeled = result.timeline.total_seconds()
-            span.__exit__(None, None, None)
-            qt.add_timeline(result.timeline)
+        with span as rec:
+            try:
+                if plan is None and pending.mode != "classic":
+                    plan = self._plan_for(pending)
+                result = self.session._run_query(
+                    pending.query, mode=pending.mode,
+                    pushdown=pending.pushdown,
+                    predicate_order=pending.predicate_order,
+                    optimizer=self._optimizer, timeline=None, plan=plan,
+                    **shared,
+                )
+            except ReproError as exc:
+                if rec is not None:
+                    rec.args["error"] = type(exc).__name__
+                self._fail(pending, exc)
+                return None
+            if rec is not None:
+                rec.modeled = result.timeline.total_seconds()
+                qt.add_timeline(result.timeline)
         self._observe_feedback(plan, result)
         self._note_result(pending, result)
         return result
@@ -895,7 +812,7 @@ class Scheduler:
     def _run_fused_scan_batch(self, batch: list[_Pending]) -> None:
         """One cooperative pass for the batch's shared first scans.
 
-        Rewrites every member's plan, validates that each indeed opens
+        Looks up every member's plan, validates that each indeed opens
         with an :class:`ApproxScanSelect` on the shared column (the
         fingerprint is syntactic; predicate reordering or a
         non-decomposed column degrades members to solo runs), evaluates
@@ -907,15 +824,7 @@ class Scheduler:
         _, table, column_name = batch[0].group[0]
         column = self.session.catalog.decomposition_of(table, column_name)
         fused: list[tuple[_Pending, object]] = []  # (pending, plan)
-        for pending in batch:
-            try:
-                plan = self._plan_for(
-                    pending.query, pending.pushdown, pending.predicate_order
-                )
-            except ReproError as exc:
-                pending.handle._fail(exc)
-                self.stats.failed += 1
-                continue
+        for pending, plan in self._plan_members(batch):
             first = plan.ops[0] if plan.ops else None
             if (
                 column is not None
@@ -925,7 +834,7 @@ class Scheduler:
                 fused.append((pending, plan))
             else:
                 # Degraded member: run the plan already in hand, no carve.
-                self._run_with_plan(pending, plan)
+                self._run_member(pending, plan)
         if not fused:
             return
         requests = [
@@ -940,9 +849,8 @@ class Scheduler:
             self.session.machine.gpu, column, len(fused), total_hits
         )
         for i, (pending, plan) in enumerate(fused):
-            hits = hits_by_label[str(i)]
-            result = self._run_with_plan(
-                pending, plan, scan_hits={id(plan.ops[0]): hits}
+            result = self._run_member(
+                pending, plan, scan_hits=hits_by_label[str(i)]
             )
             if result is None:
                 continue
@@ -968,15 +876,7 @@ class Scheduler:
         in hand.
         """
         fused: list[tuple[_Pending, object]] = []  # (pending, plan)
-        for pending in batch:
-            try:
-                plan = self._plan_for(
-                    pending.query, pending.pushdown, pending.predicate_order
-                )
-            except ReproError as exc:
-                pending.handle._fail(exc)
-                self.stats.failed += 1
-                continue
+        for pending, plan in self._plan_members(batch):
             first = plan.ops[0] if plan.ops else None
             tj = pending.query.theta_joins[0]
             right = self.session.catalog.decomposition_of(
@@ -991,12 +891,12 @@ class Scheduler:
             ):
                 fused.append((pending, plan))
             else:
-                self._run_with_plan(pending, plan)
+                self._run_member(pending, plan)
         if len(fused) < 2:
             # A lone survivor gains nothing from the fused sweep; run it
             # on the ordinary solo path.
             for pending, plan in fused:
-                self._run_with_plan(pending, plan)
+                self._run_member(pending, plan)
             return
         tj0 = fused[0][0].query.theta_joins[0]
         right = self.session.catalog.decomposition_of(
@@ -1018,9 +918,8 @@ class Scheduler:
         self.stats.fused_theta_queries += len(fused)
         total_pairs = 0
         for i, (pending, plan) in enumerate(fused):
-            result = self._run_with_plan(
-                pending, plan,
-                theta_runs={id(plan.ops[0]): runs_by_label[str(i)]},
+            result = self._run_member(
+                pending, plan, theta_runs=runs_by_label[str(i)]
             )
             if result is None:
                 continue

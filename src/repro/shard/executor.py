@@ -169,13 +169,14 @@ class ShardExecutor:
         self,
         plan: ShardedPlan,
         *,
-        scan_hits: dict[int, dict[int, np.ndarray]] | None = None,
+        scan_hits: dict[int, np.ndarray] | None = None,
     ) -> ShardedResult:
         """Run every fragment (with retries), then merge on the coordinator.
 
-        ``scan_hits`` maps shard index -> {id(op): hit positions} for the
-        placement-aware scheduler's fused batches; injection preserves
-        each fragment's charges and output exactly (PR 5 invariant).
+        ``scan_hits`` maps shard index -> hit positions for that
+        fragment's opening scan (the placement-aware scheduler's fused
+        batches); injection preserves each fragment's charges and output
+        exactly (PR 5 invariant).
         """
         qt = obs_trace.ACTIVE
         if qt is None:

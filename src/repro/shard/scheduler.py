@@ -23,10 +23,12 @@ replicated right side's memoized views back to back, the PR-5 locality
 story; the cross-member fused sweep remains single-device-only).
 
 Everything else is the single-device batch loop, inherited unchanged:
-batch forming, the solo peel of delta shapes a post-hoc fold cannot
-absorb, and compaction past the delta watermark between batches.  A fused
-member's pending delta folds in through the same union the sharded solo
-``query()`` runs, so served and solo answers and Timelines agree.
+batch forming, plan lookups through the session's plan cache, every
+member run through :meth:`ShardedSession._run_query
+<repro.shard.session.ShardedSession._run_query>` (the path the sharded
+solo ``query()`` takes, pending delta rows included, so served and solo
+answers and Timelines agree), and compaction past the delta watermark
+between batches.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from ..engine.cooperative import (
     cooperative_pass_seconds,
     cooperative_scan_hits,
 )
-from ..errors import ReproError
-from ..ingest.union import delta_tables
 from ..plan.physical import ApproxScanSelect
 from ..serve.scheduler import AdmissionPolicy, Scheduler, _Pending
 
@@ -47,8 +47,9 @@ __all__ = ["AdmissionPolicy", "ShardScheduler"]
 class ShardScheduler(Scheduler):
     """A :class:`Scheduler` whose batches execute across the shards."""
 
-    # ``session`` is a ShardedSession: provides .catalog (the global
-    # planning catalog, what _estimate_scratch_bytes reads) and .query().
+    # ``session`` is a ShardedSession: .catalog is the global planning
+    # catalog (what _estimate_scratch_bytes reads); _plan / _run_query are
+    # the same hooks the single-device session offers.
 
     # ------------------------------------------------------------------
     # Admission: budget and scratch become placement-aware
@@ -110,70 +111,32 @@ class ShardScheduler(Scheduler):
         replicated right side's memoized views back to back; the
         cross-member fused sweep is single-device."""
         for pending in batch:
-            self._run_solo(pending)
-
-    def _execute_plan(self, pending: _Pending, plan, scan_hits=None,
-                      theta_runs=None):
-        """One member's ShardedPlan with its per-shard carved hits; pending
-        delta folds in through the sharded solo union path, with this run
-        as its base."""
-        session = self.session
-        catalog = session.catalog
-        deltas = (
-            delta_tables(pending.query, catalog)
-            if catalog.tables_with_delta() else None
-        )
-        if not deltas:
-            return session.executor.execute(plan, scan_hits=scan_hits)
-        # Solo-only delta shapes (exact avg/min/max) were peeled off before
-        # the batch ran, so the union's base query is the member's own.
-        return session._query_with_delta(
-            pending.query, deltas, mode=pending.mode,
-            pushdown=pending.pushdown,
-            predicate_order=pending.predicate_order,
-            optimizer=self.policy.optimizer, timeline=None,
-            plan=plan, scan_hits=scan_hits,
-        )
+            self._run_member(pending)
 
     def _run_fused_scan_batch(self, batch: list[_Pending]) -> None:
         """Per-shard cooperative passes for the batch's shared first scans.
 
-        Lowers every member to its sharded plan, then — shard by shard —
+        Looks up every member's sharded plan, then — shard by shard —
         evaluates all member-fragments' first-scan predicates in one pass
-        over that shard's sorted-code view and injects each fragment's
-        carved positions back through
-        :meth:`~repro.shard.executor.ShardExecutor.execute`'s
-        ``scan_hits``.  A member whose fragment on some shard does not
-        open with the fingerprint scan (predicate reordering) simply gets
-        no injection there; pruned shards contribute no pass at all.
+        over that shard's sorted-code view and hands each fragment's
+        carved positions to the member's run as per-shard ``scan_hits``.
+        A member whose fragment on some shard does not open with the
+        fingerprint scan (predicate reordering) simply gets no injection
+        there; pruned shards contribute no pass at all.
         """
         _, table, column_name = batch[0].group[0]
         catalog = self.session.sharded_catalog
-        lowered: list[tuple[_Pending, object]] = []  # (pending, ShardedPlan)
-        for pending in batch:
-            try:
-                plan = self.session.planner.plan(
-                    pending.query, mode=pending.mode,
-                    pushdown=pending.pushdown,
-                    predicate_order=pending.predicate_order,
-                    optimizer=self.policy.optimizer,
-                )
-            except ReproError as exc:
-                pending.handle._fail(exc)
-                self.stats.failed += 1
-                continue
-            lowered.append((pending, plan))
+        lowered = self._plan_members(batch)  # (pending, ShardedPlan)
         if not lowered:
             return
-        # member index -> shard index -> {id(op): hits}
-        hits_for: dict[int, dict[int, dict[int, object]]] = {}
-        fused_members: set[int] = set()
+        # member index -> shard index -> hits of its fragment's opening scan
+        hits_for: dict[int, dict[int, object]] = {}
         for shard in catalog.shards:
             column = shard.catalog.decomposition_of(table, column_name)
             if column is None:
                 continue  # empty shard (or never decomposed here)
             requests: list[ScanRequest] = []
-            ops: list[tuple[int, object]] = []  # (member index, first op)
+            members: list[int] = []  # member index per request
             for i, (_, plan) in enumerate(lowered):
                 for fragment in plan.fragments:
                     if fragment.shard_index != shard.index:
@@ -187,10 +150,10 @@ class ShardScheduler(Scheduler):
                         isinstance(first, ApproxScanSelect)
                         and first.column == column_name
                     ):
-                        requests.append(
-                            ScanRequest(str(len(ops)), first.predicate.vrange)
-                        )
-                        ops.append((i, first))
+                        requests.append(ScanRequest(
+                            str(len(members)), first.predicate.vrange
+                        ))
+                        members.append(i)
             if len(requests) < 2:
                 continue  # nothing on this shard to share
             hits_by_label = cooperative_scan_hits(column, requests)
@@ -198,10 +161,9 @@ class ShardScheduler(Scheduler):
             self.stats.modeled_fused_scan_seconds += cooperative_pass_seconds(
                 shard.machine.gpu, column, len(requests), total_hits
             )
-            for label, (i, first) in enumerate(ops):
+            for label, i in enumerate(members):
                 hits = hits_by_label[str(label)]
-                hits_for.setdefault(i, {})[shard.index] = {id(first): hits}
-                fused_members.add(i)
+                hits_for.setdefault(i, {})[shard.index] = hits
                 # What this member's fragment would bill for its solo scan
                 # on this shard — the baseline of the modeled sharing gain.
                 self.stats.modeled_solo_scan_seconds += (
@@ -209,8 +171,8 @@ class ShardScheduler(Scheduler):
                         shard.machine.gpu, column, 1, hits.size
                     )
                 )
-        if fused_members:
+        if hits_for:
             self.stats.fused_batches += 1
-            self.stats.fused_queries += len(fused_members)
+            self.stats.fused_queries += len(hits_for)
         for i, (pending, plan) in enumerate(lowered):
-            self._run_with_plan(pending, plan, scan_hits=hits_for.get(i))
+            self._run_member(pending, plan, scan_hits=hits_for.get(i))

@@ -17,7 +17,10 @@ from ..device.timeline import Timeline
 from ..engine.session import QueryFront
 from ..faults.policy import RetryPolicy
 from ..faults.profile import FaultInjector, FaultProfile
+from ..ingest.union import ContributionCache, apply_delta, delta_tables
 from ..obs import trace as obs_trace
+from ..opt.plan_cache import PlanCache
+from ..opt.planner import with_fallback
 from ..plan.logical import Query
 from ..storage.column import ColumnType
 from ..storage.decompose import set_view_budget
@@ -41,6 +44,10 @@ class ShardedSession(QueryFront):
         self.executor = ShardExecutor(
             self.sharded_catalog, retry_policy=retry_policy
         )
+        #: Epoch-keyed sharded plans and memoized delta contributions;
+        #: solo runs and the placement-aware scheduler share both.
+        self._plan_cache = PlanCache()
+        self._delta_cache = ContributionCache()
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing)
@@ -210,17 +217,16 @@ class ShardedSession(QueryFront):
     ) -> ShardedResult:
         """Base fragments exactly as today + central delta contributions.
 
-        The union is :func:`~repro.ingest.union.union_with_delta` with the
+        The union is :func:`~repro.ingest.union.apply_delta` with the
         sharded base run plugged in: delta rows are evaluated exactly on
         the coordinator (billed as ``ingest.delta.*`` spans on its CPU)
         against the global catalog, and that coordinator work extends
-        ``merge_seconds``/``wall_clock_seconds``.  The placement-aware
-        scheduler passes its member's lowered ``plan`` and fused per-shard
-        ``scan_hits`` for the base run.
+        ``merge_seconds``/``wall_clock_seconds``.  ``plan`` and the fused
+        per-shard ``scan_hits`` are what :meth:`_run_query` got; an
+        avg-lowered base re-plans and keeps the hits, which belong to each
+        fragment's opening scan.
         """
         from dataclasses import replace as dc_replace
-
-        from ..ingest.union import union_with_delta
 
         tl = Timeline()
         base = ShardedResult(columns={}, row_count=0, timeline=Timeline())
@@ -228,7 +234,8 @@ class ShardedSession(QueryFront):
         def run_base(base_query: Query) -> ShardedResult:
             nonlocal base
             base = self.executor.execute(
-                plan if plan is not None else self._plan(
+                plan if plan is not None and base_query is query
+                else self._plan(
                     base_query, mode=mode, pushdown=pushdown,
                     predicate_order=predicate_order, optimizer=optimizer,
                 ),
@@ -237,9 +244,10 @@ class ShardedSession(QueryFront):
             tl.extend(base.timeline)
             return base
 
-        merged = union_with_delta(
+        merged = apply_delta(
             query, deltas, run_base, catalog=self.catalog,
             cpu=self.sharded_catalog.coordinator.cpu, mode=mode, timeline=tl,
+            contribution_cache=self._delta_cache,
         )
         delta_seconds = sum(
             s.seconds for s in tl.spans[len(base.timeline.spans):]
@@ -293,19 +301,24 @@ class ShardedSession(QueryFront):
         predicate_order: str,
         optimizer: str,
         timeline: Timeline | None,
+        plan=None,
+        scan_hits=None,
     ) -> ShardedResult:
+        """The one query path, solo and served alike: the placement-aware
+        scheduler passes the member's ``plan`` and a fused batch's
+        per-shard ``scan_hits``."""
         qt = obs_trace.ACTIVE
         if self.catalog.tables_with_delta():
-            from ..ingest.union import delta_tables
-
             deltas = delta_tables(query, self.catalog)
             if deltas:
                 return self._query_with_delta(
                     query, deltas, mode=mode, pushdown=pushdown,
                     predicate_order=predicate_order, optimizer=optimizer,
-                    timeline=timeline,
+                    timeline=timeline, plan=plan, scan_hits=scan_hits,
                 )
-        if qt is None:
+        if plan is not None:
+            pass
+        elif qt is None:
             plan = self._plan(
                 query, mode=mode, pushdown=pushdown,
                 predicate_order=predicate_order, optimizer=optimizer,
@@ -317,7 +330,7 @@ class ShardedSession(QueryFront):
                     predicate_order=predicate_order, optimizer=optimizer,
                 )
                 rec.args["fragments"] = len(plan.fragments)
-        result = self.executor.execute(plan)
+        result = self.executor.execute(plan, scan_hits=scan_hits)
         if timeline is not None:
             timeline.extend(result.timeline)
             result.timeline = timeline
@@ -327,14 +340,17 @@ class ShardedSession(QueryFront):
         self, query: Query, *, mode: str, pushdown: bool,
         predicate_order: str, optimizer: str,
     ):
-        """Lower to a ShardedPlan, resolving the ``"auto"`` optimizer
+        """The ShardedPlan, cached per (query, options, catalog epoch),
+        with the ``"auto"`` optimizer resolved
         (:func:`~repro.opt.planner.with_fallback`; scope errors re-raise
         from the heuristic fallback identically)."""
-        from ..opt.planner import with_fallback
-
-        return with_fallback(optimizer, lambda opt: self.planner.plan(
-            query, mode=mode, pushdown=pushdown,
-            predicate_order=predicate_order, optimizer=opt,
+        key = (query, mode, pushdown, predicate_order, optimizer,
+               self.catalog.epoch)
+        return self._plan_cache.get(key, lambda: with_fallback(
+            optimizer, lambda opt: self.planner.plan(
+                query, mode=mode, pushdown=pushdown,
+                predicate_order=predicate_order, optimizer=opt,
+            ),
         ))
 
     def serve(

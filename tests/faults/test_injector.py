@@ -75,6 +75,24 @@ class TestInjectorDeterminism:
         inj.restore(2)
         assert inj.begin_attempt(2, (3, 2)).dispatch_error is None
 
+    def test_attempt_counters_stay_bounded_over_a_long_run(self):
+        """Counters of finished query clocks are dropped: after 500
+        faulted queries the injector holds one query's fragments."""
+        import numpy as np
+
+        from repro import IntType
+        from repro.shard import ShardedSession
+
+        s = ShardedSession(4)
+        values = np.arange(0, 4_000, dtype=np.int64)
+        s.create_table("t", {"v": IntType()}, {"v": values})
+        s.bwdecompose("t", "v", 16)
+        inj = s.inject_faults(FaultProfile(flaky_first_k=1))
+        for _ in range(500):
+            r = s.table("t").where("v", between=(0, 4_000)).count("n").run()
+            assert r.retries == 4 and not r.degraded
+        assert len(inj._attempts) <= s.n_shards
+
     def test_slow_next_is_one_shot(self):
         inj = FaultInjector(FaultProfile())
         inj.slow_next(0, 10.0)
